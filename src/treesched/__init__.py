@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     InitialDiverged,
+    InvalidBudget,
     InvalidSubtree,
     MaxIterations,
     NonPositiveNoise,
@@ -66,6 +67,7 @@ __all__ = [
     "FeasibleSet",
     "GreedyTrace",
     "InitialDiverged",
+    "InvalidBudget",
     "InvalidSubtree",
     "LinearSystem",
     "MaxIterations",

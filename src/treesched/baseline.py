@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, TooManyTrees
+from .errors import Diverged, InvalidBudget, TooManyTrees
 from .lowerbound import L_infinity
 from .model import LinearSystem, SensorTree, tree_energy
 
@@ -39,23 +39,27 @@ def count_subtrees(tree: SensorTree) -> int:
     return math.prod(1 + rooted(c) for c in tree.children_of(0))
 
 
-def enumerate_subtrees(
-    tree: SensorTree, budget: float = math.inf, *, max_trees: int = MAX_TREES
-) -> list:
+def enumerate_subtrees(tree: SensorTree, budget: float = math.inf) -> list:
     """All valid member sets with energy within budget, smallest first.
 
-    Raises TooManyTrees when the unconstrained count exceeds ``max_trees``.
+    Raises InvalidBudget for a negative or NaN budget, and TooManyTrees when
+    the unconstrained count exceeds MAX_TREES.
     """
-    if count_subtrees(tree) > max_trees:
+    if not budget >= 0.0:  # also rejects NaN
+        raise InvalidBudget(f"energy budget must be nonnegative, got {budget!r}")
+    if count_subtrees(tree) > MAX_TREES:
         raise TooManyTrees(
-            f"tree admits more than {max_trees} transmission subtrees"
+            f"tree admits more than {MAX_TREES} transmission subtrees"
         )
 
     def options(node: int) -> list:
         # All (members, energy) choices for the branch at `node`, given that
-        # `node` itself is selected. Positive costs make budget pruning safe.
-        base = [(frozenset([node]), tree.cost_of(node))]
-        out = base
+        # `node` itself is selected; the fusion center (node 0) is always
+        # selected and costs nothing. Positive costs make budget pruning safe.
+        if node == 0:
+            out = [(frozenset(), 0.0)]
+        else:
+            out = [(frozenset([node]), tree.cost_of(node))]
         for c in tree.children_of(node):
             child_opts = options(c)
             grown = []
@@ -67,17 +71,7 @@ def enumerate_subtrees(
             out = grown
         return out
 
-    results = [(frozenset(), 0.0)]
-    for c in tree.children_of(0):
-        child_opts = options(c)
-        grown = []
-        for mem, en in results:
-            grown.append((mem, en))
-            for cm, ce in child_opts:
-                if en + ce <= budget:
-                    grown.append((mem | cm, en + ce))
-        results = grown
-    members = [mem for mem, en in results if en <= budget]
+    members = [mem for mem, en in options(0) if en <= budget]
     return sorted(members, key=lambda s: (len(s), sorted(s)))
 
 
@@ -90,16 +84,14 @@ class DeterministicResult:
     candidates: tuple  # (sorted member tuple, energy, trace or None) per candidate
 
 
-def best_deterministic(
-    sys: LinearSystem, tree: SensorTree, budget: float, *, max_trees: int = MAX_TREES
-) -> DeterministicResult:
+def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> DeterministicResult:
     """Best single repeated tree within budget, by asymptotic covariance trace.
 
     Candidates whose (C_T, A) is undetectable are skipped (their recursion
     diverges); ties break toward lower energy, then lexicographic members.
     Raises Diverged when no affordable candidate is detectable.
     """
-    candidates = enumerate_subtrees(tree, budget, max_trees=max_trees)
+    candidates = enumerate_subtrees(tree, budget)
     best = None
     rows = []
     for members in candidates:

@@ -142,6 +142,8 @@ def _experiment_trial(payload) -> dict:
                 "trace_stochastic": stoch,
                 "mean_energy": run.mean_energy,
                 "cfg_seed": diffusion["seed"],
+                "p_star": gt.p_star.tolist(),
+                "det_members": sorted(det.members),
             }
         except SchedulingError as exc:
             last_error = f"{type(exc).__name__}: {exc}"
@@ -149,22 +151,19 @@ def _experiment_trial(payload) -> dict:
 
 
 def _figure_paths(doc: dict, trial_row: dict, out_dir) -> None:
-    """Covariance-trace evolution for one instance: deterministic schedule,
-    one random sample path, and the Monte Carlo mean, per step."""
+    """Covariance-trace evolution for the instance of one ok trial row: its
+    deterministic schedule, one random sample path, and the Monte Carlo mean
+    under its optimized schedule, per step."""
     diffusion = dict(doc.get("diffusion", {}))
     diffusion["seed"] = trial_row["cfg_seed"]
-    cfg = config_from_dict(diffusion)
-    inst = random_instance(cfg)
-    fs = FeasibleSet(inst.tree, cfg.budget)
-    gt = greedy_optimize(inst.system, fs)
-    dist = decompose(inst.tree, gt.p_star)
-    det = best_deterministic(inst.system, inst.tree, cfg.budget)
+    inst = random_instance(config_from_dict(diffusion))
+    dist = decompose(inst.tree, trial_row["p_star"])
     steps = int(doc.get("path_steps", 200))
     path_trials = int(doc.get("path_mc_trials", 400))
     seed = int(doc.get("seed", 0))
 
     weights = np.zeros(inst.system.m)
-    for i in det.members:
+    for i in trial_row["det_members"]:
         weights[i - 1] = 1.0
     det_traces = [float(np.trace(Lk)) for Lk in bound_sequence(inst.system, [weights] * steps)[1:]]
     sample = sample_path(inst.system, inst.tree, dist, seed=seed, steps=steps)

@@ -19,17 +19,19 @@ from .errors import OrderingViolated
 from .model import SensorTree, TreeDistribution, as_marginals
 from .polytope import ordering_violation
 
+ORDERING_TOL = 1e-12
 
-def decompose(tree: SensorTree, p, tol: float = 1e-12) -> TreeDistribution:
+
+def decompose(tree: SensorTree, p) -> TreeDistribution:
     """Build the nested-support distribution realizing marginals p.
 
     Raises OrderingViolated when some child marginal exceeds its parent's
-    by more than ``tol`` (such p are not realizable by any distribution).
+    by more than ORDERING_TOL (such p are not realizable by any distribution).
     Zero-mass sets are dropped, so the support has at most m + 1 trees.
     """
-    p = as_marginals(p, tree.m, tol=tol)
+    p = as_marginals(p, tree.m, tol=ORDERING_TOL)
     viol = ordering_violation(tree, p)
-    if viol > tol:
+    if viol > ORDERING_TOL:
         raise OrderingViolated(
             f"child marginal exceeds its parent's by {viol:g}; not realizable"
         )

@@ -25,6 +25,10 @@ class SingularMatrix(SchedulingError):
     """A symmetric positive-definite factorization failed."""
 
 
+class InvalidBudget(SchedulingError, ValueError):
+    """An energy budget is negative or NaN."""
+
+
 class Diverged(SchedulingError):
     """An iteration has no bounded limit."""
 

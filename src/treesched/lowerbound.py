@@ -41,19 +41,14 @@ def detectable_schedule(sys: LinearSystem, p) -> bool:
 
 
 def L_infinity(
-    sys: LinearSystem,
-    X0: np.ndarray,
-    p,
-    *,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
+    sys: LinearSystem, X0: np.ndarray, p, *, max_iter: int = FIXED_POINT_MAX_ITER
 ) -> np.ndarray:
     """Iterate L(., p) from X0 to its fixed point.
 
     Detectability of (C_p, A) is checked first; an undetectable schedule
     raises Diverged without iterating. Convergence is declared when the
-    Frobenius change falls below tol * (1 + ||L||_F); hitting the iteration
-    cap raises MaxIterations (near-marginal detectability).
+    Frobenius change falls below FIXED_POINT_TOL * (1 + ||L||_F); hitting
+    the iteration cap raises MaxIterations (near-marginal detectability).
     """
     p = as_marginals(p, sys.m)
     if not detectable_schedule(sys, p):
@@ -64,10 +59,10 @@ def L_infinity(
         L_next = info_update(sys.A, sys.Q, L, info_sum)
         gap = np.linalg.norm(L_next - L, "fro")
         L = L_next
-        if gap <= tol * (1.0 + np.linalg.norm(L, "fro")):
+        if gap <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L, "fro")):
             return L
     raise MaxIterations(
-        f"no fixed point within {max_iter} iterations at tolerance {tol:g}"
+        f"no fixed point within {max_iter} iterations at tolerance {FIXED_POINT_TOL:g}"
     )
 
 

@@ -261,13 +261,6 @@ class TreeDistribution:
         return iter(zip(self.trees, self.probs))
 
 
-def validate_distribution(tree: SensorTree, dist: TreeDistribution) -> None:
-    """Raise InvalidSubtree if any support tree is not parent-closed."""
-    for t in dist.trees:
-        if not is_valid_subtree(tree, t):
-            raise InvalidSubtree(f"support tree {sorted(t)} is not valid")
-
-
 # ---------------------------------------------------------------------------
 # Model files. JSON round-trips every finite double bit-exactly because the
 # serializer emits shortest-round-trip decimal representations.
@@ -285,13 +278,9 @@ def model_to_dict(sys: LinearSystem, tree: SensorTree) -> dict:
         "C": sys.C.tolist(),
         "r": sys.r.tolist(),
         "Sigma0": sys.Sigma0.tolist(),
-        "parent": sys_tree_parent_list(tree),
+        "parent": tree.parent.tolist(),
         "cost": tree.cost.tolist(),
     }
-
-
-def sys_tree_parent_list(tree: SensorTree) -> list:
-    return [int(v) for v in tree.parent]
 
 
 def model_from_dict(doc: dict) -> tuple:

@@ -12,11 +12,12 @@ dualizing the single budget constraint:
     p(lam) = proj_B(q - lam * c),      B = box  ∩  ordering cone,
 
 where proj_B is an exact isotonic regression on the forest of sensor
-branches followed by a clamp into [0, 1] (clamping commutes with isotonic
-projection under uniform bounds). The budget usage c @ p(lam) is
-nonincreasing and continuous in lam, so the optimal multiplier is found by
-a safeguarded regula falsi; because projections are nonexpansive, a
-multiplier bracket of width w certifies the answer to within w * ||c||.
+branches, computed by merging violating blocks from the leaves up, followed
+by a clamp into [0, 1] (clamping commutes with isotonic projection under
+uniform bounds). The budget usage c @ p(lam) is nonincreasing and
+continuous in lam, so the optimal multiplier is found by a safeguarded
+regula falsi; because projections are nonexpansive, a multiplier bracket
+of width w certifies the answer to within w * ||c||.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidBudget
 from .model import SensorTree
 
 KKT_TOL = 1e-8
@@ -35,16 +37,17 @@ _MEMBERSHIP_SLACK = 1e-12
 class FeasibleSet:
     """Marginal schedules realizable on ``tree`` within expected energy ``budget``.
 
-    A zero budget is allowed and collapses the set to {0}.
+    A zero budget is allowed and collapses the set to {0}; an infinite one
+    leaves only the box and the ordering. A negative or NaN budget raises
+    InvalidBudget.
     """
 
     tree: SensorTree
     budget: float
 
     def __post_init__(self):
-        if self.budget < 0.0:
-            raise ValueError("energy budget must be nonnegative")
-        object.__setattr__(self, "budget", float(self.budget))
+        if not self.budget >= 0.0:  # also rejects NaN
+            raise InvalidBudget(f"energy budget must be nonnegative, got {self.budget!r}")
 
     @property
     def m(self) -> int:
@@ -64,15 +67,9 @@ def ordering_violation(tree: SensorTree, p: np.ndarray) -> float:
 def contains(fs: FeasibleSet, p, tol: float = _MEMBERSHIP_SLACK) -> bool:
     """Membership test with slack ``tol`` on every constraint."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (fs.m,):
+    if not feasibility_of_marginals(fs.tree, p, tol):
         return False
-    if p.size == 0:
-        return True
-    if p.min() < -tol or p.max() > 1.0 + tol:
-        return False
-    if float(fs.tree.cost @ p) > fs.budget + tol:
-        return False
-    return ordering_violation(fs.tree, p) <= tol
+    return float(fs.tree.cost @ p) <= fs.budget + tol
 
 
 def feasibility_of_marginals(tree: SensorTree, p, tol: float = _MEMBERSHIP_SLACK) -> bool:
@@ -91,102 +88,45 @@ def feasibility_of_marginals(tree: SensorTree, p, tol: float = _MEMBERSHIP_SLACK
     return ordering_violation(tree, p) <= tol
 
 
-def _branch_order(tree: SensorTree, v: int) -> tuple:
-    """Leaves-first traversal of the branch rooted at sensor v (cached)."""
-    cache = getattr(tree, "_branch_orders", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(tree, "_branch_orders", cache)
-    got = cache.get(v)
-    if got is None:
-        out: list = []
-        stack = [(v, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in tree.children_of(node):
-                    stack.append((c, False))
-        got = tuple(out)
-        cache[v] = got
-    return got
-
-
 def isotonic_tree_project(tree: SensorTree, q) -> np.ndarray:
     """Exact L2 projection onto the cone {x : x_i <= x_parent(i)}.
 
-    Bottom-up pass: the derivative of a branch's optimal cost as a function
-    of the cap t imposed from above is W_v(t) = 2 (t - q_v)
-    + sum_children min(0, W_c(t)), strictly increasing and piecewise linear
-    with kinks only at descendant optima, so its unique zero theta_v is
-    found exactly by bracketing the kinks and interpolating. Top-down pass:
-    x_v = min(theta_v, x_parent), which enforces the ordering exactly.
+    Pool-adjacent-violators on the tree (Pardalos & Xue, 1999): sensors are
+    visited deepest first, each opening a block of its own; while the block
+    hanging directly below it with the largest mean exceeds its own mean,
+    that block is merged in and its own hanging blocks hang below the
+    merged one. Every sensor then takes the mean of its block.
     """
     m = tree.m
-    qf = [0.0] + [float(x) for x in np.asarray(q, dtype=float)]
-    theta = [0.0] * (m + 1)
-    desc: list = [[] for _ in range(m + 1)]
-    w = [0.0] * (m + 1)
-    children = [tree.children_of(v) for v in range(m + 1)]
-
-    def W(v: int, t: float) -> float:
-        for u in _branch_order(tree, v):
-            s = 2.0 * (t - qf[u])
-            for c in children[u]:
-                wc = w[c]
-                if wc < 0.0:
-                    s += wc
-            w[u] = s
-        return w[v]
-
-    for v in sorted(range(1, m + 1), key=tree.depth_of, reverse=True):
-        bps = desc[v]
-        if not bps:
-            root = qf[v]
-        else:
-            bps = sorted(bps)
-            f_first = W(v, bps[0])
-            f_last = f_first if len(bps) == 1 else W(v, bps[-1])
-            if f_first >= 0.0:
-                t0 = bps[0] - 1.0
-                f0 = W(v, t0)
-                root = bps[0] - f_first * (bps[0] - t0) / (f_first - f0)
-            elif f_last <= 0.0:
-                t1 = bps[-1] + 1.0
-                f1 = W(v, t1)
-                root = bps[-1] - f_last * (t1 - bps[-1]) / (f1 - f_last)
-            else:
-                lo, hi = 0, len(bps) - 1
-                f_lo, f_hi = f_first, f_last
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    f_mid = W(v, bps[mid])
-                    if f_mid <= 0.0:
-                        lo, f_lo = mid, f_mid
-                    else:
-                        hi, f_hi = mid, f_mid
-                root = bps[lo] if f_hi == f_lo else bps[lo] - f_lo * (bps[hi] - bps[lo]) / (f_hi - f_lo)
-        theta[v] = root
-        par = tree.parent_of(v)
-        if par != 0:
-            desc[par].extend(desc[v])
-            desc[par].append(root)
+    total = [0.0] + [float(x) for x in np.asarray(q, dtype=float)]
+    size = [1] * (m + 1)
+    below = [list(tree.children_of(v)) for v in range(m + 1)]
+    merged = [False] * (m + 1)
+    order = sorted(range(1, m + 1), key=tree.depth_of)
+    for v in reversed(order):
+        hanging = below[v]
+        while hanging:
+            b = max(hanging, key=lambda u: total[u] / size[u])
+            if total[b] / size[b] <= total[v] / size[v]:
+                break
+            hanging.remove(b)
+            hanging.extend(below[b])
+            total[v] += total[b]
+            size[v] += size[b]
+            merged[b] = True
 
     x = np.empty(m)
-    for v in sorted(range(1, m + 1), key=tree.depth_of):
-        par = tree.parent_of(v)
-        x[v - 1] = theta[v] if par == 0 else min(theta[v], x[par - 1])
+    for v in order:
+        x[v - 1] = x[tree.parent_of(v) - 1] if merged[v] else total[v] / size[v]
     return x
 
 
-def project(fs: FeasibleSet, q, *, kkt_tol: float = KKT_TOL) -> np.ndarray:
+def project(fs: FeasibleSet, q) -> np.ndarray:
     """Euclidean projection of q onto the feasible set (unique by strict convexity).
 
     Returns a point that satisfies every constraint exactly (the ordering
     and box are enforced by construction, the budget by the multiplier
-    bracket) and lies within ``kkt_tol`` of the true projection.
+    bracket) and lies within KKT_TOL of the true projection.
     """
     q = np.asarray(q, dtype=float)
     m = fs.m
@@ -220,7 +160,7 @@ def project(fs: FeasibleSet, q, *, kkt_tol: float = KKT_TOL) -> np.ndarray:
     # Illinois-damped regula falsi on the monotone piecewise-linear usage gap.
     side = 0
     for _ in range(200):
-        if (lam_hi - lam_lo) * c_norm <= 0.25 * kkt_tol:
+        if (lam_hi - lam_lo) * c_norm <= 0.25 * KKT_TOL:
             break
         denom = g_hi - g_lo
         lam = 0.5 * (lam_lo + lam_hi) if denom == 0.0 else lam_hi - g_hi * (lam_hi - lam_lo) / denom

@@ -60,6 +60,14 @@ def _draw_indices(dist: TreeDistribution, rng: np.random.Generator, steps: int) 
     return np.minimum(idx, len(dist) - 1)
 
 
+def _trial_draws(dist: TreeDistribution, steps: int, trials: int, seed: int) -> np.ndarray:
+    """Support indices of `trials` Monte Carlo paths, trial t seeded by (seed, t)."""
+    draws = np.empty((trials, steps), dtype=np.intp)
+    for t in range(trials):
+        draws[t] = _draw_indices(dist, np.random.default_rng([seed, t]), steps)
+    return draws
+
+
 @dataclass(frozen=True)
 class SamplePath:
     """One realization of the random covariance recursion.
@@ -89,14 +97,9 @@ def sample_path(
 ) -> SamplePath:
     """Simulate one path of P_k, drawing a tree independently each step."""
     slabs = _support_info(sys, tree, dist)
-    rng = np.random.default_rng(seed)
-    idx = _draw_indices(dist, rng, steps)
-    P = np.array(sys.Sigma0, dtype=float)
-    traces = np.empty(steps)
-    for k in range(steps):
-        P = info_update(sys.A, sys.Q, P, slabs[idx[k]])
-        traces[k] = np.trace(P)
-    return SamplePath(traces=traces, tree_index=idx, final_P=P)
+    idx = _draw_indices(dist, np.random.default_rng(seed), steps)
+    traces, P = _batched_paths(sys, slabs, idx[None, :], keep_final=True)
+    return SamplePath(traces=traces[0], tree_index=idx, final_P=P[0])
 
 
 def write_sample_path_csv(path, sample: SamplePath) -> None:
@@ -111,23 +114,17 @@ def write_sample_path_csv(path, sample: SamplePath) -> None:
 def _batched_paths(
     sys: LinearSystem,
     slabs: np.ndarray,
-    dist: TreeDistribution,
-    steps: int,
-    trials: int,
-    seed: int,
+    draws: np.ndarray,
     *,
     keep_final: bool = False,
     divergence_limit: float | None = None,
 ):
-    """Propagate `trials` independent paths for `steps` steps.
+    """Propagate one path per row of `draws`, the support index of each step.
 
-    Returns (traces, P) with traces of shape (trials, steps); P is the final
-    covariance stack when keep_final is set, else None.
+    Returns (traces, P) with traces of the shape of `draws`, (trials, steps);
+    P is the final covariance stack when keep_final is set, else None.
     """
-    draws = np.empty((trials, steps), dtype=np.intp)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        draws[t] = _draw_indices(dist, rng, steps)
+    trials, steps = draws.shape
     P = np.broadcast_to(sys.Sigma0, (trials, sys.n, sys.n)).copy()
     traces = np.empty((trials, steps))
     diag = np.arange(sys.n)
@@ -161,7 +158,7 @@ def expected_P(
     if trials < 2:
         raise ValueError("trials must be >= 2 to estimate a standard error")
     slabs = _support_info(sys, tree, dist)
-    _, P = _batched_paths(sys, slabs, dist, step, trials, seed, keep_final=True)
+    _, P = _batched_paths(sys, slabs, _trial_draws(dist, step, trials, seed), keep_final=True)
     mean = P.mean(axis=0)
     stderr = P.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr
@@ -182,7 +179,7 @@ def expected_trace_curve(
     if trials < 2:
         raise ValueError("trials must be >= 2 to estimate a standard error")
     slabs = _support_info(sys, tree, dist)
-    traces, _ = _batched_paths(sys, slabs, dist, steps, trials, seed)
+    traces, _ = _batched_paths(sys, slabs, _trial_draws(dist, steps, trials, seed))
     mean = traces.mean(axis=0)
     stderr = traces.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr
@@ -218,7 +215,7 @@ def asymptotic_expected_trace(
     slabs = _support_info(sys, tree, dist)
     limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
     traces, _ = _batched_paths(
-        sys, slabs, dist, horizon, trials, seed, divergence_limit=limit
+        sys, slabs, _trial_draws(dist, horizon, trials, seed), divergence_limit=limit
     )
     window = traces[:, burn_in:].mean(axis=0)
     return float(window.mean())

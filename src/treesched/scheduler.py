@@ -43,6 +43,8 @@ BARRIER_EPS = 1e-12
 PG_TOL = 1e-7
 MAX_INNER = 400
 DESCENT_SLACK = 1e-8  # allowed lambda_max(L_k - L_{k-1})
+MAX_OUTER = 200
+OUTER_TOL = 1e-8  # relative per-step trace decrease that ends the greedy loop
 
 
 def initial_schedule(fs: FeasibleSet) -> np.ndarray:
@@ -68,11 +70,6 @@ def solve_descent_subproblem(
     fs: FeasibleSet,
     L_prev: np.ndarray,
     p_start: np.ndarray,
-    *,
-    mu_schedule=MU_SCHEDULE,
-    pg_tol: float = PG_TOL,
-    max_inner: int = MAX_INNER,
-    barrier_eps: float = BARRIER_EPS,
 ) -> SubproblemResult:
     """One greedy step: best feasible p that does not worsen the bound.
 
@@ -99,7 +96,7 @@ def solve_descent_subproblem(
     lam_min = float(np.linalg.eigvalsh(S0).min())
     if -lam_min > 1e-6 * max(1.0, float(np.linalg.norm(S0, "fro"))):
         raise ValueError("p_start violates the descent constraint")
-    eps = barrier_eps + max(0.0, -lam_min)
+    eps = BARRIER_EPS + max(0.0, -lam_min)
 
     def evaluate(p, mu):
         M = M_of(p)
@@ -124,8 +121,8 @@ def solve_descent_subproblem(
     pg_res = np.inf
     status = "stalled"
     total_iters = 0
-    for stage, mu in enumerate(mu_schedule):
-        tol = pg_tol if stage == len(mu_schedule) - 1 else max(pg_tol, mu * 1e-2)
+    for stage, mu in enumerate(MU_SCHEDULE):
+        tol = PG_TOL if stage == len(MU_SCHEDULE) - 1 else max(PG_TOL, mu * 1e-2)
         f, cache = evaluate(p, mu)
         if cache is None:
             # Round-off pushed the iterate out of the barrier domain; with a
@@ -141,9 +138,9 @@ def solve_descent_subproblem(
         stage_start = p.copy()
         moved = 0.0
         status = "maxiter"
-        for it in range(max_inner):
+        for it in range(MAX_INNER):
             total_iters += 1
-            if it % 5 == 0 or it == max_inner - 1:
+            if it % 5 == 0 or it == MAX_INNER - 1:
                 pg_res = float(np.linalg.norm(p - project(fs, p - g)))
                 if pg_res <= tol:
                     status = "certified"
@@ -208,7 +205,7 @@ def solve_descent_subproblem(
     if status == "maxiter":
         raise SolverStalled(
             f"projected-gradient stationarity {pg_res:g} not reached within "
-            f"{max_inner} iterations on the final barrier stage"
+            f"{MAX_INNER} iterations on the final barrier stage"
         )
     L_k = L_step(sys, L_prev, p)
     return SubproblemResult(
@@ -250,15 +247,10 @@ class GreedyTrace:
         return float(np.trace(self.L_inf))
 
 
-def greedy_optimize(
-    sys: LinearSystem,
-    fs: FeasibleSet,
-    max_outer: int = 200,
-    tol: float = 1e-8,
-) -> GreedyTrace:
+def greedy_optimize(sys: LinearSystem, fs: FeasibleSet) -> GreedyTrace:
     """Run the full greedy scheme and cross-check its limit.
 
-    Stops when the per-step trace decrease falls below ``tol`` relative, or
+    Stops when the per-step trace decrease falls below OUTER_TOL relative, or
     when the schedule itself stops moving (the remaining steps then iterate
     the mean map at fixed p, whose limit is computed directly). Raises
     InitialDiverged when even the uniform starting schedule cannot
@@ -275,7 +267,7 @@ def greedy_optimize(
     iterates = [GreedyIterate(p=p, L=L, trace=float(np.trace(L)))]
     converged = False
     prev_dp = np.inf
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         res = solve_descent_subproblem(sys, fs, L, p)
         if not contains(fs, res.p):
             raise SolverStalled("subproblem returned an infeasible schedule")
@@ -290,7 +282,7 @@ def greedy_optimize(
         dp = float(np.abs(res.p - p).max())
         p, L = res.p, res.L
         iterates.append(GreedyIterate(p=p, L=L, trace=res.trace))
-        if decrease <= tol * max(res.trace, 1e-300):
+        if decrease <= OUTER_TOL * max(res.trace, 1e-300):
             converged = True
             break
         if dp <= 1e-10 and prev_dp <= 1e-10:

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import NotObservable, OutOfRegion, UnstableDiscretization
 from .model import LinearSystem, SensorTree, validate_system
 
+MAX_ATTEMPTS = 100  # placements tried before giving up on an observable instance
+
 
 @dataclass(frozen=True)
 class DiffusionConfig:
@@ -152,14 +154,14 @@ def sample_positions(cfg: DiffusionConfig, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(0.0, cfg.side_length, size=(cfg.sensor_count, 2))
 
 
-def random_instance(cfg: DiffusionConfig, *, max_attempts: int = 100) -> DiffusionInstance:
+def random_instance(cfg: DiffusionConfig) -> DiffusionInstance:
     """Generate one observable benchmark instance.
 
     Degenerate placements (unobservable C, possible when many sensors share
     a cell) are rejected and resampled with a fresh sub-seed.
     """
     A, Q, Sigma0 = build_dynamics(cfg)
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([cfg.seed, attempt])
         positions = sample_positions(cfg, rng)
         C = build_observation(cfg, positions)
@@ -173,7 +175,7 @@ def random_instance(cfg: DiffusionConfig, *, max_attempts: int = 100) -> Diffusi
         tree = build_topology(cfg, positions)
         return DiffusionInstance(system=sys, tree=tree, positions=positions, attempts=attempt + 1)
     raise NotObservable(
-        f"no observable placement found in {max_attempts} attempts"
+        f"no observable placement found in {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import treesched.cli as cli
 from treesched.cli import main
 from treesched.model import LinearSystem, SensorTree, save_model
 
@@ -47,6 +48,18 @@ class TestOptimize:
 
     def test_zero_budget_exit_2(self, scalar_model, capsys):
         assert main(["optimize", str(scalar_model), "--budget", "0.0"]) == 2
+
+    @pytest.mark.parametrize("command", ["optimize", "baseline"])
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_invalid_budget_exit_2(self, scalar_model, capsys, command, budget):
+        assert main([command, str(scalar_model), "--budget", budget]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidBudget:")
+        assert err.count("\n") == 1
+
+    def test_infinite_budget_accepted(self, scalar_model, capsys):
+        assert main(["optimize", str(scalar_model), "--budget", "inf"]) == 0
+        assert "p_star 1.0" in capsys.readouterr().out
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["optimize", "no-such-file.json", "--budget", "1.0"]) == 3
@@ -110,7 +123,7 @@ class TestBaselineDiffusion:
 
 
 class TestExperiment:
-    def make_config(self, tmp_path, trials=1):
+    def make_config(self, tmp_path, trials=1, **overrides):
         cfg = {
             "trials": trials,
             "seed": 33,
@@ -133,6 +146,7 @@ class TestExperiment:
                 "cost_offset": 1.0,
             },
         }
+        cfg.update(overrides)
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(cfg))
         return path
@@ -157,6 +171,23 @@ class TestExperiment:
         paths = (out_dir / "trace_path.csv").read_text().strip().splitlines()
         assert paths[0] == "step,trace_deterministic,trace_sample_path,trace_mc_mean"
         assert len(paths) == 61
+
+    def test_figure_stage_reuses_trial_results(self, tmp_path, capsys, monkeypatch):
+        calls = {"greedy_optimize": 0, "best_deterministic": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        cfg = self.make_config(
+            tmp_path, mc_trials=4, burn_in=2, horizon=5, rounds=20, path_steps=5, path_mc_trials=2
+        )
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        assert calls == {"greedy_optimize": 1, "best_deterministic": 1}
 
     def test_reproducible_and_jobs_invariant(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)

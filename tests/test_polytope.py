@@ -67,6 +67,13 @@ class TestProject:
     def test_idempotent_nonexpansive(self):
         check_projection_properties(samples=40, seed=3)
 
+    def test_leaves_tree_untouched(self, rng):
+        tree = SensorTree(parent=[0, 1, 2, 2, 0], cost=[1.0, 2.0, 1.0, 3.0, 1.0])
+        before = dict(vars(tree))
+        project(FeasibleSet(tree, 2.0), rng.uniform(-1, 2, 5))
+        assert vars(tree).keys() == before.keys()
+        assert all(vars(tree)[k] is v for k, v in before.items())
+
     def test_output_feasible_even_for_huge_inputs(self, rng):
         for scale in (1e3, 1e9, 1e15):
             tree = random_tree(rng, 12)
@@ -99,10 +106,11 @@ class TestIsotonic:
 
     def test_matches_constrained_qp_solver(self, rng):
         minimize = pytest.importorskip("scipy.optimize").minimize
-        for _ in range(30):
+        for k in range(60):
             m = int(rng.integers(1, 9))
             tree = random_tree(rng, m)
-            q = rng.uniform(-3, 3, m)
+            # the second half has integer values, so many ties
+            q = rng.uniform(-3, 3, m) if k < 30 else rng.integers(-2, 3, m).astype(float)
             x = isotonic_tree_project(tree, q)
             cons = []
             for i in range(1, m + 1):
