@@ -14,6 +14,7 @@ from .errors import (
     Diverged,
     InitialDiverged,
     InvalidBudget,
+    InvalidInput,
     InvalidSubtree,
     MaxIterations,
     NonPositiveNoise,
@@ -31,6 +32,7 @@ from .model import (
     SensorTree,
     TreeDistribution,
     as_marginals,
+    indicator,
     is_valid_subtree,
     load_model,
     save_model,
@@ -68,6 +70,7 @@ __all__ = [
     "GreedyTrace",
     "InitialDiverged",
     "InvalidBudget",
+    "InvalidInput",
     "InvalidSubtree",
     "LinearSystem",
     "MaxIterations",
@@ -98,6 +101,7 @@ __all__ = [
     "feasibility_of_marginals",
     "g_T",
     "greedy_optimize",
+    "indicator",
     "initial_schedule",
     "is_valid_subtree",
     "load_model",

@@ -1,7 +1,8 @@
 """Symmetric positive-definite linear algebra helpers.
 
-Every covariance update in the package funnels through these routines so
-that the same two numerical policies apply everywhere: results of an
+Every covariance step in the package (the lower-bound map, the Riccati
+map g_T and the batched Monte Carlo paths) is one call of ``info_update``,
+so the same two numerical policies apply everywhere: results of an
 inversion are symmetrized to control floating-point drift, and inversions
 go through a Cholesky factorization that raises ``SingularMatrix`` instead
 of silently regularizing.
@@ -107,6 +108,5 @@ def info_update(
     reporting sensors. Works on a single matrix or a stack of X's (with a
     matching stack of info_sum's).
     """
-    pred = symmetrize(A @ X @ A.T) + Q
-    Z = spd_inverse(pred)
+    Z = spd_inverse(symmetrize(A @ X @ A.T) + Q)
     return spd_inverse(symmetrize(Z + info_sum))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import Diverged, InvalidBudget, TooManyTrees
 from .lowerbound import L_infinity
-from .model import LinearSystem, SensorTree, tree_energy
+from .model import LinearSystem, SensorTree, indicator, tree_energy
 
 MAX_TREES = 10**6
 
@@ -95,12 +95,9 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
     best = None
     rows = []
     for members in candidates:
-        weights = np.zeros(sys.m)
-        for i in members:
-            weights[i - 1] = 1.0
         energy = tree_energy(tree, members)
         try:
-            P = L_infinity(sys, sys.Sigma0, weights)
+            P = L_infinity(sys, sys.Sigma0, indicator(members, sys.m))
         except Diverged:
             rows.append((tuple(sorted(members)), energy, None))
             continue

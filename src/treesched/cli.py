@@ -1,7 +1,7 @@
 """Command-line driver: optimization, simulation, and the benchmark study.
 
-Exit codes: 0 success, 2 infeasible or divergent problem, 3 file errors,
-4 property-suite failure.
+Exit codes: 0 success, 2 infeasible or divergent problem or malformed,
+non-finite or out-of-range input, 3 file errors, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 from . import properties
 from .baseline import best_deterministic, write_candidates_csv
 from .decompose import decompose, write_distribution_csv
-from .errors import SchedulingError
+from .errors import InvalidInput, SchedulingError
 from .lowerbound import bound_sequence
-from .model import load_model, save_model
+from .model import indicator, load_model, save_model
 from .polytope import FeasibleSet
 from .protocol import simulate_run
 from .riccati import asymptotic_expected_trace, expected_trace_curve, sample_path
@@ -27,7 +27,6 @@ from .scheduler import greedy_optimize, write_greedy_csv
 from .testbed import (
     DiffusionConfig,
     config_from_dict,
-    config_to_dict,
     random_instance,
     write_positions_csv,
 )
@@ -39,7 +38,10 @@ EXIT_PROPERTIES = 4
 
 
 def _parse_marginals(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    try:
+        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    except ValueError:
+        raise InvalidInput(f"marginals must be comma-separated numbers, got {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -162,9 +164,7 @@ def _figure_paths(doc: dict, trial_row: dict, out_dir) -> None:
     path_trials = int(doc.get("path_mc_trials", 400))
     seed = int(doc.get("seed", 0))
 
-    weights = np.zeros(inst.system.m)
-    for i in trial_row["det_members"]:
-        weights[i - 1] = 1.0
+    weights = indicator(trial_row["det_members"], inst.system.m)
     det_traces = [float(np.trace(Lk)) for Lk in bound_sequence(inst.system, [weights] * steps)[1:]]
     sample = sample_path(inst.system, inst.tree, dist, seed=seed, steps=steps)
     mc_mean, _ = expected_trace_curve(inst.system, inst.tree, dist, steps, path_trials, seed=seed + 1)

@@ -16,7 +16,7 @@ import csv
 import numpy as np
 
 from .errors import OrderingViolated
-from .model import SensorTree, TreeDistribution, as_marginals
+from .model import SensorTree, TreeDistribution, as_marginals, indicator
 from .polytope import ordering_violation
 
 ORDERING_TOL = 1e-12
@@ -65,8 +65,7 @@ def marginals_of(dist: TreeDistribution, m: int) -> np.ndarray:
     """Per-sensor selection probabilities: p_i = sum of probs of trees containing i."""
     p = np.zeros(m)
     for members, prob in dist:
-        for i in members:
-            p[i - 1] += prob
+        p += prob * indicator(members, m)
     return p
 
 

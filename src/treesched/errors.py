@@ -29,6 +29,10 @@ class InvalidBudget(SchedulingError, ValueError):
     """An energy budget is negative or NaN."""
 
 
+class InvalidInput(SchedulingError, ValueError):
+    """An input value is malformed, non-finite or outside its domain."""
+
+
 class Diverged(SchedulingError):
     """An iteration has no bounded limit."""
 

@@ -29,15 +29,10 @@ def L_step(sys: LinearSystem, X: np.ndarray, p) -> np.ndarray:
     return info_update(sys.A, sys.Q, np.asarray(X, dtype=float), sys.info_sum(p))
 
 
-def weighted_rows(sys: LinearSystem, p) -> np.ndarray:
-    """The scaled observation matrix with rows sqrt(p_i) C_i."""
-    p = as_marginals(p, sys.m)
-    return np.sqrt(p)[:, None] * sys.C
-
-
 def detectable_schedule(sys: LinearSystem, p) -> bool:
-    """PBH detectability of the mean-weighted pair (C_p, A)."""
-    return pbh_detectable(sys.A, weighted_rows(sys, p))
+    """PBH detectability of the mean-weighted pair (C_p, A), C_p with rows sqrt(p_i) C_i."""
+    p = as_marginals(p, sys.m)
+    return pbh_detectable(sys.A, np.sqrt(p)[:, None] * sys.C)
 
 
 def L_infinity(

@@ -16,7 +16,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,12 +24,11 @@ import numpy as np
 from ._linalg import is_observable
 from .errors import (
     DimensionMismatch,
+    InvalidInput,
     InvalidSubtree,
     NonPositiveNoise,
     NotObservable,
 )
-
-SubTree = frozenset  # alias: a subtree is identified by its member set
 
 _SYM_TOL = 1e-10
 
@@ -43,17 +42,33 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 def as_marginals(p, m: int | None = None, tol: float = 1e-12) -> np.ndarray:
     """Validate and normalize a marginal-probability vector.
 
-    Accepts any 1-D array-like; entries must lie in [0, 1] up to ``tol``
-    and are clipped exactly into the box. Returns a read-only float array.
+    Accepts any 1-D array-like; entries must be finite and lie in [0, 1] up
+    to ``tol`` (else InvalidInput), and are clipped exactly into the box.
+    Returns a read-only float array.
     """
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"marginals must be a 1-D vector, got shape {arr.shape}")
     if m is not None and arr.shape[0] != m:
         raise DimensionMismatch(f"expected {m} marginals, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("marginals must be finite numbers")
     if arr.size and (arr.min() < -tol or arr.max() > 1.0 + tol):
-        raise ValueError(f"marginals must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
+        raise InvalidInput(f"marginals must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
     return _frozen_array(np.clip(arr, 0.0, 1.0))
+
+
+def indicator(members: Iterable[int], m: int) -> np.ndarray:
+    """The 0/1 sensor weights of a member set: entry i-1 is 1.0 iff i is a member.
+
+    Raises InvalidSubtree for an index outside 1..m.
+    """
+    idx = np.fromiter(members, dtype=int)
+    if np.any((idx < 1) | (idx > m)):
+        raise InvalidSubtree(f"sensor indices out of range 1..{m}: {sorted(set(idx.tolist()))}")
+    weights = np.zeros(m)
+    weights[idx - 1] = 1.0
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +78,8 @@ class LinearSystem:
     Q is the process-noise covariance, r the per-sensor measurement-noise
     variances (R is diagonal), Sigma0 the initial state covariance. Row i
     of C is the observation row of sensor i; its information contribution
-    is the rank-one matrix C_i^T C_i / r_i.
+    is the rank-one matrix C_i^T C_i / r_i, and ``info`` stacks these
+    increments, shape (m, n, n). Non-finite entries raise InvalidInput.
     """
 
     A: np.ndarray
@@ -71,6 +87,7 @@ class LinearSystem:
     C: np.ndarray
     r: np.ndarray
     Sigma0: np.ndarray
+    info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen_array(self.A)
@@ -94,7 +111,12 @@ class LinearSystem:
                 f"r must have one entry per sensor ({C.shape[0]}), got shape {r.shape}"
             )
         for name, val in (("A", A), ("Q", Q), ("C", C), ("r", r), ("Sigma0", S)):
+            if not np.all(np.isfinite(val)):
+                raise InvalidInput(f"{name} has non-finite entries")
             object.__setattr__(self, name, val)
+        with np.errstate(divide="ignore", invalid="ignore"):  # validate_system names r <= 0
+            scaled = C / np.sqrt(r)[:, None]
+            object.__setattr__(self, "info", _frozen_array(np.einsum("ij,ik->ijk", scaled, scaled)))
 
     @property
     def n(self) -> int:
@@ -103,17 +125,6 @@ class LinearSystem:
     @property
     def m(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def info(self) -> np.ndarray:
-        """Per-sensor information increments C_i^T C_i / r_i, shape (m, n, n)."""
-        cached = getattr(self, "_info_cache", None)
-        if cached is None:
-            scaled = self.C / np.sqrt(self.r)[:, None]
-            cached = np.einsum("ij,ik->ijk", scaled, scaled)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_info_cache", cached)
-        return cached
 
     def info_sum(self, weights) -> np.ndarray:
         """Weighted information matrix sum_i w_i C_i^T C_i / r_i."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AgreementViolation
+from .errors import AgreementViolation, InvalidInput
 from .model import SensorTree, as_marginals, tree_energy
 
 _MASK64 = (1 << 64) - 1
@@ -165,8 +165,11 @@ def simulate_run(
 
     With ordering-feasible p the per-sensor selection frequencies converge
     to p and the mean energy to sum_i c_i p_i. An optional CSV log records
-    round, alpha, selected_members, energy, packet_count.
+    round, alpha, selected_members, energy, packet_count. A negative round
+    count raises InvalidInput.
     """
+    if rounds < 0:
+        raise InvalidInput(f"rounds must be >= 0, got {rounds}")
     nodes = build_nodes(tree, p, seed)
     counts = np.zeros(tree.m)
     energy_sum = 0.0

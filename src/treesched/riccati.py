@@ -22,23 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import info_update, pbh_detectable, spd_inverse, symmetrize
+from ._linalg import info_update
+from ._linalg import spd_inverse  # noqa: F401  (perfbench/tracing.py patches it here)
 from .errors import Diverged, InvalidSubtree
-from .model import LinearSystem, SensorTree, TreeDistribution, is_valid_subtree
+from .lowerbound import L_step, detectable_schedule
+from .model import LinearSystem, SensorTree, TreeDistribution, indicator, is_valid_subtree
 
 DIVERGENCE_FACTOR = 1e6  # running mean above this multiple of trace(Sigma0) flags divergence
 
 
 def g_T(sys: LinearSystem, X: np.ndarray, T) -> np.ndarray:
-    """Apply the prediction-plus-update map of transmission tree T to X."""
-    members = frozenset(T)
-    weights = np.zeros(sys.m)
-    if members:
-        idx = np.fromiter(members, dtype=int)
-        if idx.min() < 1 or idx.max() > sys.m:
-            raise InvalidSubtree(f"sensor indices out of range: {sorted(members)}")
-        weights[idx - 1] = 1.0
-    return info_update(sys.A, sys.Q, np.asarray(X, dtype=float), sys.info_sum(weights))
+    """Apply the prediction-plus-update map of transmission tree T to X: the
+    mean-selection map L_step at T's 0/1 sensor weights."""
+    return L_step(sys, X, indicator(T, sys.m))
 
 
 def _support_info(sys: LinearSystem, tree: SensorTree, dist: TreeDistribution) -> np.ndarray:
@@ -47,10 +43,7 @@ def _support_info(sys: LinearSystem, tree: SensorTree, dist: TreeDistribution) -
     for j, (members, _) in enumerate(dist):
         if not is_valid_subtree(tree, members):
             raise InvalidSubtree(f"support tree {sorted(members)} is not valid")
-        w = np.zeros(sys.m)
-        for i in members:
-            w[i - 1] = 1.0
-        slabs[j] = sys.info_sum(w)
+        slabs[j] = sys.info_sum(indicator(members, sys.m))
     return slabs
 
 
@@ -58,14 +51,6 @@ def _draw_indices(dist: TreeDistribution, rng: np.random.Generator, steps: int) 
     cum = np.cumsum(dist.probs)
     idx = np.searchsorted(cum, rng.random(steps), side="right")
     return np.minimum(idx, len(dist) - 1)
-
-
-def _trial_draws(dist: TreeDistribution, steps: int, trials: int, seed: int) -> np.ndarray:
-    """Support indices of `trials` Monte Carlo paths, trial t seeded by (seed, t)."""
-    draws = np.empty((trials, steps), dtype=np.intp)
-    for t in range(trials):
-        draws[t] = _draw_indices(dist, np.random.default_rng([seed, t]), steps)
-    return draws
 
 
 @dataclass(frozen=True)
@@ -129,10 +114,7 @@ def _batched_paths(
     traces = np.empty((trials, steps))
     diag = np.arange(sys.n)
     for k in range(steps):
-        pred = symmetrize(sys.A @ P @ sys.A.T) + sys.Q
-        Z = spd_inverse(pred)
-        M = symmetrize(Z + slabs[draws[:, k]])
-        P = spd_inverse(M)
+        P = info_update(sys.A, sys.Q, P, slabs[draws[:, k]])
         traces[:, k] = P[:, diag, diag].sum(axis=1)
         if divergence_limit is not None and traces[:, k].mean() > divergence_limit:
             raise Diverged(
@@ -140,6 +122,24 @@ def _batched_paths(
                 "the schedule does not stabilize the estimator"
             )
     return traces, (P if keep_final else None)
+
+
+def _monte_carlo(
+    sys: LinearSystem,
+    tree: SensorTree,
+    dist: TreeDistribution,
+    steps: int,
+    trials: int,
+    seed: int,
+    **kwargs,
+):
+    """Propagate `trials` paths of `steps` steps, trial t drawing its trees
+    from default_rng([seed, t]); keyword options go to _batched_paths."""
+    slabs = _support_info(sys, tree, dist)
+    draws = np.empty((trials, steps), dtype=np.intp)
+    for t in range(trials):
+        draws[t] = _draw_indices(dist, np.random.default_rng([seed, t]), steps)
+    return _batched_paths(sys, slabs, draws, **kwargs)
 
 
 def expected_P(
@@ -157,8 +157,7 @@ def expected_P(
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 to estimate a standard error")
-    slabs = _support_info(sys, tree, dist)
-    _, P = _batched_paths(sys, slabs, _trial_draws(dist, step, trials, seed), keep_final=True)
+    _, P = _monte_carlo(sys, tree, dist, step, trials, seed, keep_final=True)
     mean = P.mean(axis=0)
     stderr = P.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr
@@ -178,8 +177,7 @@ def expected_trace_curve(
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 to estimate a standard error")
-    slabs = _support_info(sys, tree, dist)
-    traces, _ = _batched_paths(sys, slabs, _trial_draws(dist, steps, trials, seed))
+    traces, _ = _monte_carlo(sys, tree, dist, steps, trials, seed)
     mean = traces.mean(axis=0)
     stderr = traces.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr
@@ -204,18 +202,11 @@ def asymptotic_expected_trace(
     """
     if not (0 <= burn_in < horizon):
         raise ValueError("need 0 <= burn_in < horizon")
-    detectable = False
-    for members, prob in dist:
-        rows = sys.C[[i - 1 for i in sorted(members)], :]
-        if prob > 0.0 and pbh_detectable(sys.A, rows):
-            detectable = True
-            break
-    if not detectable:
+    if not any(
+        prob > 0.0 and detectable_schedule(sys, indicator(members, sys.m)) for members, prob in dist
+    ):
         raise Diverged("no support tree with positive probability is detectable")
-    slabs = _support_info(sys, tree, dist)
     limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
-    traces, _ = _batched_paths(
-        sys, slabs, _trial_draws(dist, horizon, trials, seed), divergence_limit=limit
-    )
+    traces, _ = _monte_carlo(sys, tree, dist, horizon, trials, seed, divergence_limit=limit)
     window = traces[:, burn_in:].mean(axis=0)
     return float(window.mean())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -187,22 +187,6 @@ def write_positions_csv(path, positions) -> None:
             writer.writerow([i, repr(float(x1)), repr(float(x2))])
 
 
-def config_to_dict(cfg: DiffusionConfig) -> dict:
-    return {
-        "side_length": cfg.side_length,
-        "diffusion_rate": cfg.diffusion_rate,
-        "grid_spacing": cfg.grid_spacing,
-        "time_step": cfg.time_step,
-        "sensor_count": cfg.sensor_count,
-        "process_noise": cfg.process_noise,
-        "measurement_noise": cfg.measurement_noise,
-        "initial_variance": cfg.initial_variance,
-        "budget": cfg.budget,
-        "cost_offset": cfg.cost_offset,
-        "seed": cfg.seed,
-    }
-
-
 def config_from_dict(doc: dict) -> DiffusionConfig:
-    known = set(config_to_dict(DiffusionConfig()))
+    known = {f.name for f in fields(DiffusionConfig)}
     return DiffusionConfig(**{k: v for k, v in doc.items() if k in known})

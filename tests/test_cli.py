@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -49,13 +50,42 @@ class TestOptimize:
     def test_zero_budget_exit_2(self, scalar_model, capsys):
         assert main(["optimize", str(scalar_model), "--budget", "0.0"]) == 2
 
-    @pytest.mark.parametrize("command", ["optimize", "baseline"])
-    @pytest.mark.parametrize("budget", ["-1", "nan"])
-    def test_invalid_budget_exit_2(self, scalar_model, capsys, command, budget):
-        assert main([command, str(scalar_model), "--budget", budget]) == 2
+    @pytest.mark.parametrize(
+        "command, model, options, error",
+        [
+            pytest.param("optimize", {}, ["--budget", "-1"], "InvalidBudget", id="-1-optimize"),
+            pytest.param("baseline", {}, ["--budget", "-1"], "InvalidBudget", id="-1-baseline"),
+            pytest.param("optimize", {}, ["--budget", "nan"], "InvalidBudget", id="nan-optimize"),
+            pytest.param("baseline", {}, ["--budget", "nan"], "InvalidBudget", id="nan-baseline"),
+            pytest.param("decompose", {}, ["--p", "abc"], "InvalidInput", id="decompose-p-abc"),
+            pytest.param("decompose", {}, ["--p", "2"], "InvalidInput", id="decompose-p-2"),
+            pytest.param("decompose", {}, ["--p", "inf"], "InvalidInput", id="decompose-p-inf"),
+            pytest.param("decompose", {}, ["--p", "nan"], "InvalidInput", id="decompose-p-nan"),
+            pytest.param("simulate", {}, ["--p", "nan"], "InvalidInput", id="simulate-p-nan"),
+            pytest.param(
+                "simulate", {}, ["--p", "0.5", "--rounds", "-3"], "InvalidInput", id="simulate-rounds-neg"
+            ),
+            pytest.param(
+                "optimize", {"A": [[math.nan]]}, ["--budget", "1"], "InvalidInput", id="optimize-A-nan"
+            ),
+            pytest.param(
+                "baseline", {"A": [[math.nan]]}, ["--budget", "1"], "InvalidInput", id="baseline-A-nan"
+            ),
+            pytest.param(
+                "baseline", {"C": [[math.inf]]}, ["--budget", "1"], "InvalidInput", id="baseline-C-inf"
+            ),
+        ],
+    )
+    def test_invalid_budget_exit_2(self, scalar_model, capsys, command, model, options, error):
+        """Malformed, non-finite or out-of-range input of any kind (a budget,
+        marginals, a round count, model arrays) exits 2 with one named line."""
+        doc = json.loads(scalar_model.read_text())
+        scalar_model.write_text(json.dumps({**doc, **model}))
+        assert main([command, str(scalar_model), *options]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidBudget:")
+        assert err.startswith(f"error: {error}:")
         assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_infinite_budget_accepted(self, scalar_model, capsys):
         assert main(["optimize", str(scalar_model), "--budget", "inf"]) == 0

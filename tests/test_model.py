@@ -5,6 +5,7 @@ import pytest
 
 from treesched.errors import (
     DimensionMismatch,
+    InvalidInput,
     InvalidSubtree,
     NonPositiveNoise,
     NotObservable,
@@ -14,6 +15,7 @@ from treesched.model import (
     SensorTree,
     TreeDistribution,
     as_marginals,
+    indicator,
     is_valid_subtree,
     load_model,
     save_model,
@@ -56,6 +58,16 @@ class TestValidateSystem:
         sys = LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
         with pytest.raises(ValueError):
             sys.A[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            sys.info[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("name", ["A", "Q", "C", "r", "Sigma0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        arrays = dict(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=np.ones(2), Sigma0=np.eye(2))
+        arrays[name].flat[0] = bad
+        with pytest.raises(InvalidInput, match=f"^{name} "):
+            LinearSystem(**arrays)
 
 
 class TestSensorTree:
@@ -114,6 +126,20 @@ class TestMarginals:
             as_marginals([0.5, 0.5], 1)
         out = as_marginals([0.25, 1.0], 2)
         assert out.tolist() == [0.25, 1.0]
+        for bad in (np.nan, np.inf, -np.inf, 1.5, -0.5):
+            with pytest.raises(InvalidInput):
+                as_marginals([0.5, bad], 2)
+
+
+class TestIndicator:
+    def test_weights_of_member_set(self):
+        assert indicator(frozenset({3, 1}), 4).tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert indicator([], 2).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("members", [[0], [1, 3]])
+    def test_out_of_range_rejected(self, members):
+        with pytest.raises(InvalidSubtree):
+            indicator(members, 2)
 
 
 class TestTreeDistribution:
