@@ -50,14 +50,14 @@ def cholesky_or_none(M: np.ndarray):
         return None
 
 
-def matrix_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
+def matrix_rank(M: np.ndarray) -> int:
     """Rank by SVD with a cutoff relative to the largest singular value."""
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -71,12 +71,12 @@ def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def is_observable(A: np.ndarray, C: np.ndarray, tol: float = RANK_TOL) -> bool:
+def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
     n = A.shape[0]
-    return matrix_rank(observability_matrix(A, C), tol) == n
+    return matrix_rank(observability_matrix(A, C)) == n
 
 
-def pbh_detectable(A: np.ndarray, C: np.ndarray, tol: float = RANK_TOL) -> bool:
+def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
     """PBH test: every eigenvalue of A on or outside the unit circle must be
     observable through C, i.e. rank [lambda*I - A; C] = n.
 
@@ -92,7 +92,7 @@ def pbh_detectable(A: np.ndarray, C: np.ndarray, tol: float = RANK_TOL) -> bool:
         if abs(lam) < 1.0 - UNIT_CIRCLE_MARGIN:
             continue
         stacked = np.vstack([lam * np.eye(n) - A, C.astype(complex)])
-        if matrix_rank(stacked, tol) < n:
+        if matrix_rank(stacked) < n:
             return False
     return True
 

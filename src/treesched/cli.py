@@ -11,6 +11,8 @@ import csv
 import json
 import sys as _sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,29 +113,47 @@ def cmd_diffusion(args) -> int:
     return EXIT_OK
 
 
+# Integer fields of an experiment config: (default, smallest allowed value).
+_EXPERIMENT_INTS = dict(
+    trials=(100, 0), seed=(0, 0), mc_trials=(1000, 1), burn_in=(80, 0), horizon=(160, 1),
+    rounds=(2000, 0), path_steps=(200, 0), path_mc_trials=(400, 2),
+)
+
+
+def _experiment_settings(doc) -> SimpleNamespace:
+    """Parse and range-check an experiment config once, before any trial runs:
+    its integer fields plus ``diffusion``, the DiffusionConfig of every trial."""
+    ints = {}
+    for name, (default, low) in _EXPERIMENT_INTS.items():
+        value = doc.get(name, default)
+        try:
+            ints[name] = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+        if ints[name] < low:
+            raise InvalidInput(f"{name} must be >= {low}, got {value!r}")
+    if ints["burn_in"] >= ints["horizon"]:
+        raise InvalidInput(f"need burn_in < horizon, got {ints['burn_in']} >= {ints['horizon']}")
+    return SimpleNamespace(**ints, diffusion=config_from_dict(doc.get("diffusion", {})))
+
+
 def _experiment_trial(payload) -> dict:
     """One benchmark trial; must stay module-level for process pools."""
-    doc, trial = payload
-    base_seed = int(doc.get("seed", 0))
-    mc_trials = int(doc.get("mc_trials", 1000))
-    burn_in = int(doc.get("burn_in", 80))
-    horizon = int(doc.get("horizon", 160))
-    rounds = int(doc.get("rounds", 2000))
-    diffusion = dict(doc.get("diffusion", {}))
+    settings, trial = payload
+    seed = settings.seed + trial
     last_error = "unknown"
     for attempt in range(3):
         try:
-            diffusion["seed"] = base_seed + trial + 1_000_003 * attempt
-            cfg = config_from_dict(diffusion)
+            cfg = replace(settings.diffusion, seed=seed + 1_000_003 * attempt)
             inst = random_instance(cfg)
             fs = FeasibleSet(inst.tree, cfg.budget)
             gt = greedy_optimize(inst.system, fs)
             dist = decompose(inst.tree, gt.p_star)
-            run = simulate_run(inst.tree, gt.p_star, seed=base_seed + trial, rounds=rounds)
+            run = simulate_run(inst.tree, gt.p_star, seed=seed, rounds=settings.rounds)
             if run.control_messages != 0:
                 raise SchedulingError("protocol sent coordination traffic")
             stoch = asymptotic_expected_trace(
-                inst.system, inst.tree, dist, burn_in, horizon, mc_trials, seed=base_seed + trial
+                inst.system, inst.tree, dist, settings.burn_in, settings.horizon, settings.mc_trials, seed
             )
             det = best_deterministic(inst.system, inst.tree, cfg.budget)
             return {
@@ -143,7 +163,7 @@ def _experiment_trial(payload) -> dict:
                 "trace_deterministic": det.trace,
                 "trace_stochastic": stoch,
                 "mean_energy": run.mean_energy,
-                "cfg_seed": diffusion["seed"],
+                "cfg_seed": cfg.seed,
                 "p_star": gt.p_star.tolist(),
                 "det_members": sorted(det.members),
             }
@@ -152,22 +172,18 @@ def _experiment_trial(payload) -> dict:
     return {"trial": trial, "ok": False, "error": last_error}
 
 
-def _figure_paths(doc: dict, trial_row: dict, out_dir) -> None:
+def _figure_paths(settings: SimpleNamespace, trial_row: dict, out_dir) -> None:
     """Covariance-trace evolution for the instance of one ok trial row: its
     deterministic schedule, one random sample path, and the Monte Carlo mean
     under its optimized schedule, per step."""
-    diffusion = dict(doc.get("diffusion", {}))
-    diffusion["seed"] = trial_row["cfg_seed"]
-    inst = random_instance(config_from_dict(diffusion))
+    inst = random_instance(replace(settings.diffusion, seed=trial_row["cfg_seed"]))
     dist = decompose(inst.tree, trial_row["p_star"])
-    steps = int(doc.get("path_steps", 200))
-    path_trials = int(doc.get("path_mc_trials", 400))
-    seed = int(doc.get("seed", 0))
+    steps, seed = settings.path_steps, settings.seed
 
     weights = indicator(trial_row["det_members"], inst.system.m)
     det_traces = [float(np.trace(Lk)) for Lk in bound_sequence(inst.system, [weights] * steps)[1:]]
     sample = sample_path(inst.system, inst.tree, dist, seed=seed, steps=steps)
-    mc_mean, _ = expected_trace_curve(inst.system, inst.tree, dist, steps, path_trials, seed=seed + 1)
+    mc_mean, _ = expected_trace_curve(inst.system, inst.tree, dist, steps, settings.path_mc_trials, seed + 1)
 
     with open(f"{out_dir}/trace_path.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -178,9 +194,9 @@ def _figure_paths(doc: dict, trial_row: dict, out_dir) -> None:
 
 def cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    trials = int(doc.get("trials", 100))
-    payloads = [(doc, t) for t in range(trials)]
+        settings = _experiment_settings(json.load(fh))
+    trials = settings.trials
+    payloads = [(settings, t) for t in range(trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_experiment_trial, payloads))
@@ -207,7 +223,7 @@ def cmd_experiment(args) -> int:
                 ]
             )
     if ok_rows:
-        _figure_paths(doc, ok_rows[0], args.out_dir)
+        _figure_paths(settings, ok_rows[0], args.out_dir)
         ratios = np.array([r["ratio"] for r in ok_rows])
         print("trials_ok", len(ok_rows))
         print("trials_skipped", len(skipped))

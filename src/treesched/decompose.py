@@ -29,7 +29,7 @@ def decompose(tree: SensorTree, p) -> TreeDistribution:
     by more than ORDERING_TOL (such p are not realizable by any distribution).
     Zero-mass sets are dropped, so the support has at most m + 1 trees.
     """
-    p = as_marginals(p, tree.m, tol=ORDERING_TOL)
+    p = as_marginals(p, tree.m)
     viol = ordering_violation(tree, p)
     if viol > ORDERING_TOL:
         raise OrderingViolated(
@@ -56,8 +56,6 @@ def decompose(tree: SensorTree, p) -> TreeDistribution:
         mass = levels[j] - nxt
         if mass > 0.0:
             pairs.append((frozenset(members), mass))
-    if not pairs:
-        pairs.append((frozenset(), 1.0))
     return TreeDistribution.from_pairs(pairs)
 
 

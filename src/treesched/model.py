@@ -31,6 +31,7 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-10
+_MARGINAL_TOL = 1e-12  # slack on the [0, 1] box before a marginal is rejected
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -39,11 +40,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def as_marginals(p, m: int | None = None, tol: float = 1e-12) -> np.ndarray:
+def as_marginals(p, m: int | None = None) -> np.ndarray:
     """Validate and normalize a marginal-probability vector.
 
     Accepts any 1-D array-like; entries must be finite and lie in [0, 1] up
-    to ``tol`` (else InvalidInput), and are clipped exactly into the box.
+    to 1e-12 (else InvalidInput), and are clipped exactly into the box.
     Returns a read-only float array.
     """
     arr = np.asarray(p, dtype=float)
@@ -53,7 +54,7 @@ def as_marginals(p, m: int | None = None, tol: float = 1e-12) -> np.ndarray:
         raise DimensionMismatch(f"expected {m} marginals, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("marginals must be finite numbers")
-    if arr.size and (arr.min() < -tol or arr.max() > 1.0 + tol):
+    if arr.size and (arr.min() < -_MARGINAL_TOL or arr.max() > 1.0 + _MARGINAL_TOL):
         raise InvalidInput(f"marginals must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
     return _frozen_array(np.clip(arr, 0.0, 1.0))
 
@@ -71,6 +72,14 @@ def indicator(members: Iterable[int], m: int) -> np.ndarray:
     return weights
 
 
+def _check_spd(name: str, M: np.ndarray):
+    if not np.all(np.abs(M - M.T) <= _SYM_TOL * max(1.0, np.abs(M).max())):
+        raise NonPositiveNoise(f"{name} is not symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    if eigs.min() <= 0.0:
+        raise NonPositiveNoise(f"{name} must be positive definite, min eigenvalue {eigs.min()}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Discrete-time model x_{k+1} = A x_k + w_k, y_{k,i} = C_i x_k + v_{k,i}.
@@ -79,7 +88,8 @@ class LinearSystem:
     variances (R is diagonal), Sigma0 the initial state covariance. Row i
     of C is the observation row of sensor i; its information contribution
     is the rank-one matrix C_i^T C_i / r_i, and ``info`` stacks these
-    increments, shape (m, n, n). Non-finite entries raise InvalidInput.
+    increments, shape (m, n, n). Non-finite entries raise InvalidInput, and
+    a Q or Sigma0 not symmetric PD or an r_i <= 0 raises NonPositiveNoise.
     """
 
     A: np.ndarray
@@ -114,9 +124,12 @@ class LinearSystem:
             if not np.all(np.isfinite(val)):
                 raise InvalidInput(f"{name} has non-finite entries")
             object.__setattr__(self, name, val)
-        with np.errstate(divide="ignore", invalid="ignore"):  # validate_system names r <= 0
-            scaled = C / np.sqrt(r)[:, None]
-            object.__setattr__(self, "info", _frozen_array(np.einsum("ij,ik->ijk", scaled, scaled)))
+        _check_spd("Q", Q)
+        _check_spd("Sigma0", S)
+        if np.any(r <= 0.0):
+            raise NonPositiveNoise(f"r must be > 0 (measurement-noise variances), got min {r.min()}")
+        scaled = C / np.sqrt(r)[:, None]
+        object.__setattr__(self, "info", _frozen_array(np.einsum("ij,ik->ijk", scaled, scaled)))
 
     @property
     def n(self) -> int:
@@ -134,28 +147,9 @@ class LinearSystem:
         return np.tensordot(w, self.info, axes=1)
 
 
-def _check_spd(name: str, M: np.ndarray):
-    if not np.all(np.abs(M - M.T) <= _SYM_TOL * max(1.0, np.abs(M).max())):
-        raise NonPositiveNoise(f"{name} is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs.min() <= 0.0:
-        raise NonPositiveNoise(f"{name} must be positive definite, min eigenvalue {eigs.min()}")
-
-
 def validate_system(sys: LinearSystem) -> None:
-    """Check all LinearSystem invariants; raise a named error on the first failure.
-
-    Raises DimensionMismatch, NonPositiveNoise (Q, Sigma0 not symmetric PD or
-    some r_i <= 0), or NotObservable (rank of [C; CA; ...; CA^(n-1)] < n,
-    singular values cut at 1e-10 relative).
-    """
-    n, m = sys.n, sys.m
-    if sys.Q.shape != (n, n) or sys.Sigma0.shape != (n, n) or sys.C.shape != (m, n):
-        raise DimensionMismatch("inconsistent matrix dimensions")
-    _check_spd("Q", sys.Q)
-    _check_spd("Sigma0", sys.Sigma0)
-    if sys.r.size and sys.r.min() <= 0.0:
-        raise NonPositiveNoise(f"all measurement-noise variances must be > 0, got min {sys.r.min()}")
+    """Raise NotObservable unless rank [C; CA; ...; CA^(n-1)] = n, singular
+    values cut at 1e-10 relative (LinearSystem checks the rest when built)."""
     if not is_observable(sys.A, sys.C):
         raise NotObservable("(C, A) is not observable")
 
@@ -179,9 +173,9 @@ class SensorTree:
         if cost.shape != (m,):
             raise DimensionMismatch(f"cost must have shape ({m},), got {cost.shape}")
         if m and (parent.min() < 0 or parent.max() > m):
-            raise ValueError("parent indices must lie in {0, ..., m}")
+            raise InvalidInput("parent indices must lie in {0, ..., m}")
         if m and cost.min() <= 0.0:
-            raise ValueError("edge costs must be positive")
+            raise InvalidInput("edge costs must be positive")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "cost", cost)
 
@@ -192,7 +186,7 @@ class SensorTree:
                 node = int(parent[node - 1])
                 hops += 1
                 if hops > m:
-                    raise ValueError(f"sensor {i} has no path to the fusion center (cycle)")
+                    raise InvalidInput(f"sensor {i} has no path to the fusion center (cycle)")
             depth[i] = hops
         children: list[list[int]] = [[] for _ in range(m + 1)]
         for i in range(1, m + 1):
@@ -251,11 +245,11 @@ class TreeDistribution:
         if len(trees) != probs.shape[0]:
             raise DimensionMismatch("one probability per tree required")
         if probs.size == 0:
-            raise ValueError("distribution must have at least one support tree")
+            raise InvalidInput("distribution must have at least one support tree")
         if probs.min() < 0.0:
-            raise ValueError(f"probabilities must be >= 0, got min {probs.min()}")
+            raise InvalidInput(f"probabilities must be >= 0, got min {probs.min()}")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise InvalidInput(f"probabilities must sum to 1, got {probs.sum()!r}")
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "probs", probs)
 

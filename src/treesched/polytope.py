@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBudget
+from .errors import DimensionMismatch, InvalidBudget, InvalidInput, SolverStalled
 from .model import SensorTree
 
 KKT_TOL = 1e-8
@@ -126,12 +126,15 @@ def project(fs: FeasibleSet, q) -> np.ndarray:
 
     Returns a point that satisfies every constraint exactly (the ordering
     and box are enforced by construction, the budget by the multiplier
-    bracket) and lies within KKT_TOL of the true projection.
+    bracket) and lies within KKT_TOL of the true projection. A q of the
+    wrong length raises DimensionMismatch, a non-finite one InvalidInput.
     """
     q = np.asarray(q, dtype=float)
     m = fs.m
     if q.shape != (m,):
-        raise ValueError(f"expected a vector of length {m}")
+        raise DimensionMismatch(f"expected a vector of length {m}, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise InvalidInput("the point to project must be finite")
     if m == 0:
         return q.copy()
 
@@ -155,7 +158,7 @@ def project(fs: FeasibleSet, q) -> np.ndarray:
         lam_lo, g_lo = lam_hi, g_hi
         lam_hi *= 4.0
     else:
-        raise RuntimeError("could not bracket the budget multiplier")
+        raise SolverStalled("could not bracket the budget multiplier")
 
     # Illinois-damped regula falsi on the monotone piecewise-linear usage gap.
     side = 0

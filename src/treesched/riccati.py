@@ -17,14 +17,13 @@ trials are batched or scheduled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import info_update
 from ._linalg import spd_inverse  # noqa: F401  (perfbench/tracing.py patches it here)
-from .errors import Diverged, InvalidSubtree
+from .errors import Diverged, InvalidInput, InvalidSubtree
 from .lowerbound import L_step, detectable_schedule
 from .model import LinearSystem, SensorTree, TreeDistribution, indicator, is_valid_subtree
 
@@ -65,10 +64,6 @@ class SamplePath:
     tree_index: np.ndarray
     final_P: np.ndarray
 
-    @property
-    def steps(self) -> int:
-        return self.traces.shape[0]
-
     def time_average(self) -> float:
         return float(self.traces.mean())
 
@@ -83,17 +78,8 @@ def sample_path(
     """Simulate one path of P_k, drawing a tree independently each step."""
     slabs = _support_info(sys, tree, dist)
     idx = _draw_indices(dist, np.random.default_rng(seed), steps)
-    traces, P = _batched_paths(sys, slabs, idx[None, :], keep_final=True)
+    traces, P = _batched_paths(sys, slabs, idx[None, :])
     return SamplePath(traces=traces[0], tree_index=idx, final_P=P[0])
-
-
-def write_sample_path_csv(path, sample: SamplePath) -> None:
-    """Columns: step, trace_P, selected_tree_id."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "trace_P", "selected_tree_id"])
-        for k in range(sample.steps):
-            writer.writerow([k + 1, repr(float(sample.traces[k])), int(sample.tree_index[k])])
 
 
 def _batched_paths(
@@ -101,13 +87,12 @@ def _batched_paths(
     slabs: np.ndarray,
     draws: np.ndarray,
     *,
-    keep_final: bool = False,
     divergence_limit: float | None = None,
 ):
     """Propagate one path per row of `draws`, the support index of each step.
 
-    Returns (traces, P) with traces of the shape of `draws`, (trials, steps);
-    P is the final covariance stack when keep_final is set, else None.
+    Returns (traces, P): traces of the shape of `draws`, (trials, steps),
+    and the final covariance stack.
     """
     trials, steps = draws.shape
     P = np.broadcast_to(sys.Sigma0, (trials, sys.n, sys.n)).copy()
@@ -121,7 +106,7 @@ def _batched_paths(
                 f"mean trace exceeded {divergence_limit:g} at step {k + 1}; "
                 "the schedule does not stabilize the estimator"
             )
-    return traces, (P if keep_final else None)
+    return traces, P
 
 
 def _monte_carlo(
@@ -156,8 +141,8 @@ def expected_P(
     independent paths and its elementwise standard error.
     """
     if trials < 2:
-        raise ValueError("trials must be >= 2 to estimate a standard error")
-    _, P = _monte_carlo(sys, tree, dist, step, trials, seed, keep_final=True)
+        raise InvalidInput("trials must be >= 2 to estimate a standard error")
+    _, P = _monte_carlo(sys, tree, dist, step, trials, seed)
     mean = P.mean(axis=0)
     stderr = P.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr
@@ -176,7 +161,7 @@ def expected_trace_curve(
     Returns (mean, stderr), both shape (steps,), for k = 1..steps.
     """
     if trials < 2:
-        raise ValueError("trials must be >= 2 to estimate a standard error")
+        raise InvalidInput("trials must be >= 2 to estimate a standard error")
     traces, _ = _monte_carlo(sys, tree, dist, steps, trials, seed)
     mean = traces.mean(axis=0)
     stderr = traces.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -201,7 +186,7 @@ def asymptotic_expected_trace(
     necessary but not sufficient for stability).
     """
     if not (0 <= burn_in < horizon):
-        raise ValueError("need 0 <= burn_in < horizon")
+        raise InvalidInput("need 0 <= burn_in < horizon")
     if not any(
         prob > 0.0 and detectable_schedule(sys, indicator(members, sys.m)) for members, prob in dist
     ):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotObservable, OutOfRegion, UnstableDiscretization
+from .errors import InvalidInput, NotObservable, OutOfRegion, UnstableDiscretization
 from .model import LinearSystem, SensorTree, validate_system
 
 MAX_ATTEMPTS = 100  # placements tried before giving up on an observable instance
@@ -41,14 +41,14 @@ class DiffusionConfig:
     def __post_init__(self):
         ratio = self.side_length / self.grid_spacing
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("side_length must be a positive integer multiple of grid_spacing")
+            raise InvalidInput("side_length must be a positive integer multiple of grid_spacing")
         stability = self.diffusion_rate * self.time_step / self.grid_spacing**2
         if stability > 0.25:
             raise UnstableDiscretization(
                 f"alpha*dt/h^2 = {stability:g} exceeds the explicit-scheme bound 0.25"
             )
         if self.sensor_count < 1:
-            raise ValueError("need at least one sensor")
+            raise InvalidInput("need at least one sensor")
 
     @property
     def grid_side(self) -> int:

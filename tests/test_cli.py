@@ -74,6 +74,18 @@ class TestOptimize:
             pytest.param(
                 "baseline", {"C": [[math.inf]]}, ["--budget", "1"], "InvalidInput", id="baseline-C-inf"
             ),
+            pytest.param(
+                "optimize", {"cost": [0.0]}, ["--budget", "1"], "InvalidInput", id="optimize-cost-0"
+            ),
+            pytest.param(
+                "baseline", {"parent": [1]}, ["--budget", "1"], "InvalidInput", id="baseline-parent-cycle"
+            ),
+            pytest.param(
+                "baseline", {"r": [-1.0]}, ["--budget", "1"], "NonPositiveNoise", id="baseline-r-neg"
+            ),
+            pytest.param(
+                "baseline", {"Q": [[-1.0]]}, ["--budget", "1"], "NonPositiveNoise", id="baseline-Q-neg"
+            ),
         ],
     )
     def test_invalid_budget_exit_2(self, scalar_model, capsys, command, model, options, error):
@@ -150,6 +162,50 @@ class TestBaselineDiffusion:
         doc = json.loads(model.read_text())
         assert doc["n"] == 16 and doc["m"] == 16
         assert len(pos.read_text().strip().splitlines()) == 17
+
+
+# A one-trial experiment small enough to finish in a second or two.
+TINY_EXPERIMENT = {
+    "trials": 1,
+    "mc_trials": 4,
+    "burn_in": 2,
+    "horizon": 5,
+    "rounds": 20,
+    "path_steps": 5,
+    "path_mc_trials": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, error",
+    [
+        pytest.param("diffusion", {"sensor_count": 0}, "InvalidInput", id="diffusion-no-sensors"),
+        pytest.param("experiment", {"trials": "abc"}, "InvalidInput", id="experiment-trials-abc"),
+        pytest.param(
+            "experiment", {"burn_in": 5, "horizon": 3}, "InvalidInput", id="experiment-burn-in-past-horizon"
+        ),
+        pytest.param("experiment", {"path_mc_trials": 1}, "InvalidInput", id="experiment-path-mc-trials-1"),
+        pytest.param(
+            "experiment", {"diffusion": {"sensor_count": 0}}, "InvalidInput", id="experiment-no-sensors"
+        ),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
+    """A malformed diffusion or experiment config file exits 2 with one named
+    line, and an experiment writes nothing before it has read its config."""
+    path = tmp_path / "config.json"
+    if command == "experiment":
+        path.write_text(json.dumps({**TINY_EXPERIMENT, **config}))
+        outputs = ["--out-dir", str(tmp_path)]
+    else:
+        path.write_text(json.dumps(config))
+        outputs = ["--out", str(tmp_path / "model.json")]
+    assert main([command, "--config", str(path), *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestExperiment:

@@ -35,18 +35,27 @@ class TestValidateSystem:
             validate_system(sys)
 
     def test_zero_measurement_noise_rejected(self):
-        sys = LinearSystem(
-            A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 0.0], Sigma0=np.eye(2)
-        )
         with pytest.raises(NonPositiveNoise):
-            validate_system(sys)
+            LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 0.0], Sigma0=np.eye(2))
 
     def test_indefinite_process_noise_rejected(self):
-        sys = LinearSystem(
-            A=np.eye(2), Q=[[1.0, 0.0], [0.0, -0.5]], C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2)
-        )
         with pytest.raises(NonPositiveNoise):
-            validate_system(sys)
+            LinearSystem(
+                A=np.eye(2), Q=[[1.0, 0.0], [0.0, -0.5]], C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2)
+            )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param("Sigma0", [[1.0, 0.0], [0.0, 0.0]], id="Sigma0-singular"),
+            pytest.param("Q", [[1.0, 0.5], [0.0, 1.0]], id="Q-asymmetric"),
+        ],
+    )
+    def test_noise_checked_at_construction(self, name, value):
+        arrays = dict(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=np.ones(2), Sigma0=np.eye(2))
+        arrays[name] = value
+        with pytest.raises(NonPositiveNoise, match=f"^{name} "):
+            LinearSystem(**arrays)
 
     def test_shape_mismatch_raises_at_construction(self):
         with pytest.raises(DimensionMismatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_search_projection
+from treesched.errors import DimensionMismatch, InvalidInput
 from treesched.model import SensorTree
 from treesched.polytope import (
     FeasibleSet,
@@ -57,6 +58,14 @@ class TestProject:
             grid_p, grid_d = grid_search_projection(chain2_fs, q, resolution=1e-3)
             assert np.linalg.norm(p - q) <= grid_d + 1e-12
             assert np.linalg.norm(p - grid_p) <= 2e-3
+
+    def test_non_finite_point_rejected(self, chain2_fs):
+        with pytest.raises(InvalidInput):
+            project(chain2_fs, [np.nan, 0.5])
+
+    def test_wrong_length_rejected(self, chain2_fs):
+        with pytest.raises(DimensionMismatch):
+            project(chain2_fs, [0.5, 0.5, 0.5])
 
     def test_zero_budget_collapses_to_origin(self, rng):
         tree = random_tree(rng, 5)

@@ -88,16 +88,6 @@ class TestSamplePath:
         se = batches.std(ddof=1) / math.sqrt(len(batches))
         assert abs(sp.time_average() - stationary) <= 3.0 * se
 
-    def test_csv_export(self, tmp_path, scalar_system, scalar_tree):
-        from treesched.riccati import write_sample_path_csv
-
-        sp = sample_path(scalar_system, scalar_tree, mixed_dist(), seed=3, steps=10)
-        out = tmp_path / "path.csv"
-        write_sample_path_csv(out, sp)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,trace_P,selected_tree_id"
-        assert len(lines) == 11
-
 
 class TestExpectedP:
     def test_degenerate_dist_zero_stderr(self, scalar_system, scalar_tree):
