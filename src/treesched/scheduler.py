@@ -26,7 +26,6 @@ barrier Hessian is too ill-conditioned for a meaningful residual.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -308,13 +307,3 @@ def greedy_optimize(sys: LinearSystem, fs: FeasibleSet) -> GreedyTrace:
         converged=converged,
         fixed_point_gap=float(gap),
     )
-
-
-def write_greedy_csv(path, trace: GreedyTrace) -> None:
-    """Columns: outer_iter, trace_L, p_1..p_m."""
-    m = trace.p_star.shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outer_iter", "trace_L"] + [f"p_{i}" for i in range(1, m + 1)])
-        for k, it in enumerate(trace.iterates):
-            writer.writerow([k, repr(it.trace)] + [repr(float(v)) for v in it.p])

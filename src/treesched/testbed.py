@@ -12,14 +12,13 @@ the fusion center (at the origin) and the sensors, with edge weight
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidInput, NotObservable, OutOfRegion, UnstableDiscretization
-from .model import LinearSystem, SensorTree, validate_system
+from .model import LinearSystem, SensorTree, as_integer, validate_system
 
 MAX_ATTEMPTS = 100  # placements tried before giving up on an observable instance
 
@@ -49,6 +48,8 @@ class DiffusionConfig:
             )
         if self.sensor_count < 1:
             raise InvalidInput("need at least one sensor")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
     @property
     def grid_side(self) -> int:
@@ -179,14 +180,20 @@ def random_instance(cfg: DiffusionConfig) -> DiffusionInstance:
     )
 
 
-def write_positions_csv(path, positions) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor", "x1", "x2"])
-        for i, (x1, x2) in enumerate(np.asarray(positions, dtype=float), start=1):
-            writer.writerow([i, repr(float(x1)), repr(float(x2))])
+def _finite(value, name: str) -> float:
+    try:
+        if math.isfinite(out := float(value)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInput(f"{name} must be a finite number, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> DiffusionConfig:
-    known = {f.name for f in fields(DiffusionConfig)}
-    return DiffusionConfig(**{k: v for k, v in doc.items() if k in known})
+    """A DiffusionConfig from a JSON object, unknown keys ignored: integer
+    fields follow ``model.as_integer``, the others must be finite numbers."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a diffusion config must be a JSON object, got {type(doc).__name__}")
+    parse = {"int": as_integer, "float": _finite}
+    known = [f for f in fields(DiffusionConfig) if f.name in doc]
+    return DiffusionConfig(**{f.name: parse[f.type](doc[f.name], f.name) for f in known})

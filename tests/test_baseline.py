@@ -9,7 +9,6 @@ from treesched.baseline import (
     best_deterministic,
     count_subtrees,
     enumerate_subtrees,
-    write_candidates_csv,
 )
 from treesched.errors import Diverged, TooManyTrees
 from treesched.model import SensorTree, is_valid_subtree, tree_energy
@@ -87,14 +86,6 @@ class TestBestDeterministic:
                 best = float(np.trace(X))
         assert best is not None
         assert result.trace == pytest.approx(best, rel=1e-6)
-
-    def test_candidates_csv(self, tmp_path, scalar_system, scalar_tree):
-        result = best_deterministic(scalar_system, scalar_tree, budget=1.0)
-        out = tmp_path / "candidates.csv"
-        write_candidates_csv(out, result)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "tree_members,energy,trace_P_inf"
-        assert len(lines) == 3  # empty tree (divergent) + the single sensor
 
     def test_property_version(self):
         check_baseline_matches_direct_iteration(seed=5)

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ import pytest
 import treesched.cli as cli
 from treesched.cli import main
 from treesched.model import LinearSystem, SensorTree, save_model
+
+DROP = object()  # a model override that removes the key
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -86,13 +91,27 @@ class TestOptimize:
             pytest.param(
                 "baseline", {"Q": [[-1.0]]}, ["--budget", "1"], "NonPositiveNoise", id="baseline-Q-neg"
             ),
+            pytest.param("baseline", {"r": DROP}, ["--budget", "1"], "InvalidInput", id="baseline-no-r"),
+            pytest.param("baseline", [], ["--budget", "1"], "InvalidInput", id="baseline-model-list"),
+            pytest.param(
+                "baseline", {"parent": [0.5]}, ["--budget", "1"], "InvalidInput", id="baseline-parent-half"
+            ),
+            pytest.param(
+                "baseline", {"parent": ["a"]}, ["--budget", "1"], "InvalidInput", id="baseline-parent-str"
+            ),
         ],
     )
     def test_invalid_budget_exit_2(self, scalar_model, capsys, command, model, options, error):
         """Malformed, non-finite or out-of-range input of any kind (a budget,
-        marginals, a round count, model arrays) exits 2 with one named line."""
+        marginals, a round count, model arrays, a model that is not a complete
+        JSON object) exits 2 with one named line. ``model`` overrides keys of
+        the scalar model (DROP removes one) or, when not a dict, replaces it."""
         doc = json.loads(scalar_model.read_text())
-        scalar_model.write_text(json.dumps({**doc, **model}))
+        if isinstance(model, dict):
+            doc = {k: v for k, v in {**doc, **model}.items() if v is not DROP}
+        else:
+            doc = model
+        scalar_model.write_text(json.dumps(doc))
         assert main([command, str(scalar_model), *options]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}:")
@@ -112,6 +131,13 @@ class TestOptimize:
         assert main(["optimize", str(scalar_model), "--budget", "0.5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_greedy_csv(self, scalar_model, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["optimize", str(scalar_model), "--budget", "1.0", "--out", str(a)]) == 0
+        assert main(["optimize", str(scalar_model), "--budget", "1.0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[0] == "outer_iter,trace_L,p_1"
+
 
 class TestDecomposeSimulate:
     def test_decompose_chain(self, chain_model, tmp_path, capsys):
@@ -120,6 +146,14 @@ class TestDecomposeSimulate:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
+
+    def test_distribution_csv(self, chain_model, tmp_path, capsys):
+        out = tmp_path / "dist.csv"
+        assert main(["decompose", str(chain_model), "--p", "0.8,0.5,0.5", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "tree_id,member_list,probability"
+        assert len(lines) == 4
+        assert "1;2;3" in lines[-1]
 
     def test_decompose_infeasible_exit_2(self, chain_model, capsys):
         assert main(["decompose", str(chain_model), "--p", "0.2,0.5,0.5"]) == 2
@@ -145,12 +179,28 @@ class TestDecomposeSimulate:
         assert "control_messages 0" in captured
         assert len(out.read_text().strip().splitlines()) == 401
 
+    def test_round_log_csv(self, chain_model, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        options = ["--p", "0.8,0.5,0.25", "--rounds", "50", "--seed", "5", "--out", str(out)]
+        assert main(["simulate", str(chain_model), *options]) == 0
+        assert "rounds 50\n" in capsys.readouterr().out
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "round,alpha,selected_members,energy,packet_count"
+        assert len(lines) == 51
+
 
 class TestBaselineDiffusion:
     def test_baseline_scalar(self, scalar_model, capsys):
         assert main(["baseline", str(scalar_model), "--budget", "1.0"]) == 0
         captured = capsys.readouterr().out
         assert "members 1" in captured
+
+    def test_candidates_csv(self, scalar_model, tmp_path, capsys):
+        out = tmp_path / "candidates.csv"
+        assert main(["baseline", str(scalar_model), "--budget", "1.0", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "tree_members,energy,trace_P_inf"
+        assert len(lines) == 3  # empty tree (divergent) + the single sensor
 
     def test_diffusion_generates_model(self, tmp_path, capsys):
         model = tmp_path / "diff.json"
@@ -188,6 +238,12 @@ TINY_EXPERIMENT = {
         pytest.param(
             "experiment", {"diffusion": {"sensor_count": 0}}, "InvalidInput", id="experiment-no-sensors"
         ),
+        pytest.param("diffusion", [1], "InvalidInput", id="diffusion-config-list"),
+        pytest.param("diffusion", {"sensor_count": "abc"}, "InvalidInput", id="diffusion-sensor-count-abc"),
+        pytest.param("diffusion", {"side_length": "abc"}, "InvalidInput", id="diffusion-side-length-abc"),
+        pytest.param("diffusion", {"seed": -1}, "InvalidInput", id="diffusion-seed-neg"),
+        pytest.param("experiment", {"trials": 1.7}, "InvalidInput", id="experiment-trials-1.7"),
+        pytest.param("experiment", {"diffusion": [1]}, "InvalidInput", id="experiment-diffusion-list"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
@@ -295,11 +351,14 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point(scalar_model):
+    # The subprocess does not inherit pytest's pythonpath, so point it at src.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treesched", "optimize", str(scalar_model), "--budget", "1.0"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "trace_L_inf 0.61803398" in proc.stdout

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treesched.decompose import decompose, marginals_of, write_distribution_csv
+from treesched.decompose import decompose, marginals_of
 from treesched.errors import OrderingViolated
 from treesched.model import TreeDistribution, is_valid_subtree, tree_energy
 from treesched.properties import (
@@ -89,13 +89,3 @@ class TestMarginalsOf:
     def test_property_suite_versions(self):
         check_decompose_round_trip(samples=60, seed=1)
         check_energy_identity(samples=60, seed=2)
-
-
-def test_distribution_csv(tmp_path, chain3_tree):
-    dist = decompose(chain3_tree, [0.8, 0.5, 0.5])
-    out = tmp_path / "dist.csv"
-    write_distribution_csv(out, dist)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "tree_id,member_list,probability"
-    assert len(lines) == 4
-    assert "1;2;3" in lines[-1]

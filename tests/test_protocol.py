@@ -5,7 +5,7 @@ import pytest
 
 from treesched.decompose import decompose, marginals_of
 from treesched.errors import AgreementViolation
-from treesched.model import SensorTree, tree_energy
+from treesched.model import SensorTree, indicator, tree_energy
 from treesched.properties import (
     check_protocol_matches_decomposition,
     check_shared_draw,
@@ -152,15 +152,14 @@ class TestSimulateRun:
     def test_induced_tree_distribution_is_the_nested_decomposition(self):
         check_protocol_matches_decomposition(rounds=30000, seed=7)
 
-    def test_round_log_csv(self, tmp_path, rng):
+    def test_on_round_sees_every_round(self, rng):
         tree = random_tree(rng, 4)
         p = random_feasible_marginals(rng, tree)
-        out = tmp_path / "log.csv"
-        run = simulate_run(tree, p, seed=5, rounds=50, log_path=out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "round,alpha,selected_members,energy,packet_count"
-        assert len(lines) == 51
-        assert run.rounds == 50
+        seen = []
+        run = simulate_run(tree, p, seed=5, rounds=50, on_round=lambda k, outcome: seen.append((k, outcome)))
+        assert [k for k, _ in seen] == list(range(1, 51))
+        counts = sum(indicator(outcome.selected, 4) for _, outcome in seen)
+        assert np.array_equal(counts / 50, run.empirical_marginals)
 
     def test_marginals_of_observed_trees_equals_input_in_expectation(self, rng):
         tree = random_tree(rng, 6)

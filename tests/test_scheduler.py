@@ -15,7 +15,6 @@ from treesched.scheduler import (
     greedy_optimize,
     initial_schedule,
     solve_descent_subproblem,
-    write_greedy_csv,
 )
 
 GOLDEN_FP = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,16 +120,6 @@ class TestGreedyOptimize:
         hi = L_infinity(sys, 100.0 * np.eye(3), gt.p_star)
         assert np.trace(lo) == pytest.approx(np.trace(hi), rel=1e-6)
         assert gt.fixed_point_gap <= 1e-6
-
-    def test_csv_export_and_determinism(self, tmp_path, scalar_system, scalar_tree):
-        gt = greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 1.0))
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_greedy_csv(f1, gt)
-        gt2 = greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 1.0))
-        write_greedy_csv(f2, gt2)
-        assert f1.read_bytes() == f2.read_bytes()
-        header = f1.read_text().splitlines()[0]
-        assert header == "outer_iter,trace_L,p_1"
 
     def test_fractional_budget_scalar_matches_oracle(self, scalar_system, scalar_tree):
         gt = greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 0.4))
