@@ -17,8 +17,8 @@ from .errors import SingularMatrix
 # Relative singular-value cutoff used by every rank test in the package.
 RANK_TOL = 1e-10
 
-# Eigenvalues of A with modulus above this count as "not stable" for the
-# PBH detectability test (1.0 minus a float-noise margin).
+# Eigenvalues of A with modulus above 1.0 minus this float-noise margin
+# count as "not stable" for the PBH detectability test.
 UNIT_CIRCLE_MARGIN = 1e-9
 
 
@@ -60,28 +60,13 @@ def matrix_rank(M: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Stack [C; CA; ...; CA^(n-1)]."""
-    n = A.shape[0]
-    blocks = []
-    Ak = np.eye(n)
-    for _ in range(n):
-        blocks.append(C @ Ak)
-        Ak = Ak @ A
-    return np.vstack(blocks)
+def pbh_observable(A: np.ndarray, C: np.ndarray, min_modulus: float) -> bool:
+    """PBH test: every eigenvalue lambda of A with |lambda| >= min_modulus
+    must be observable through C, i.e. rank [lambda*I - A; C] = n.
 
-
-def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
-    n = A.shape[0]
-    return matrix_rank(observability_matrix(A, C)) == n
-
-
-def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
-    """PBH test: every eigenvalue of A on or outside the unit circle must be
-    observable through C, i.e. rank [lambda*I - A; C] = n.
-
-    Robust to exactly-zero rows in C, which is why it is preferred over a
-    Gramian test for schedules with p_i = 0.
+    min_modulus 0 tests observability of (C, A), 1 - UNIT_CIRCLE_MARGIN
+    detectability. Robust to exactly-zero rows in C, which is why it is
+    preferred over a Gramian test for schedules with p_i = 0.
     """
     n = A.shape[0]
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -89,7 +74,7 @@ def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
         C = C.reshape(0, n)
     eigs = np.linalg.eigvals(A)
     for lam in eigs:
-        if abs(lam) < 1.0 - UNIT_CIRCLE_MARGIN:
+        if abs(lam) < min_modulus:
             continue
         stacked = np.vstack([lam * np.eye(n) - A, C.astype(complex)])
         if matrix_rank(stacked) < n:

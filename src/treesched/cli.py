@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys as _sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -52,11 +53,18 @@ def _members(members) -> str:
 
 @contextmanager
 def _table(path, header):
-    """Open the CSV table at ``path``, write its header row and yield the writer."""
+    """Open the CSV table at ``path``, write its header row and yield the
+    writer. If the body raises, the file is removed, so a failed command
+    leaves no partial table."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        yield writer
+        try:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            yield writer
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def cmd_optimize(args) -> int:

@@ -35,7 +35,7 @@ def decompose(tree: SensorTree, p) -> TreeDistribution:
         )
     # Clamp sub-tolerance inversions exactly so sorted prefixes are closed.
     eff = np.array(p)
-    for i in sorted(range(1, tree.m + 1), key=tree.depth_of):
+    for i in tree.root_first:
         j = tree.parent_of(i)
         if j != 0:
             eff[i - 1] = min(eff[i - 1], eff[j - 1])

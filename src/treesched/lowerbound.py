@@ -15,24 +15,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import info_update, pbh_detectable, symmetrize
-from .errors import Diverged, MaxIterations
+from ._linalg import UNIT_CIRCLE_MARGIN, info_update, pbh_observable, symmetrize
+from .errors import DimensionMismatch, Diverged, InvalidInput, MaxIterations
 from .model import LinearSystem, as_marginals
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10**5
 
 
+def as_covariance(sys: LinearSystem, X) -> np.ndarray:
+    """X as a float array; DimensionMismatch unless (n, n), InvalidInput unless finite."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (sys.n, sys.n):
+        raise DimensionMismatch(f"covariance must be {sys.n}x{sys.n}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInput("covariance has non-finite entries")
+    return X
+
+
 def L_step(sys: LinearSystem, X: np.ndarray, p) -> np.ndarray:
     """One application of the mean-selection covariance map."""
     p = as_marginals(p, sys.m)
-    return info_update(sys.A, sys.Q, np.asarray(X, dtype=float), sys.info_sum(p))
+    return info_update(sys.A, sys.Q, as_covariance(sys, X), sys.info_sum(p))
 
 
 def detectable_schedule(sys: LinearSystem, p) -> bool:
     """PBH detectability of the mean-weighted pair (C_p, A), C_p with rows sqrt(p_i) C_i."""
     p = as_marginals(p, sys.m)
-    return pbh_detectable(sys.A, np.sqrt(p)[:, None] * sys.C)
+    return pbh_observable(sys.A, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
 
 
 def L_infinity(
@@ -49,7 +59,7 @@ def L_infinity(
     if not detectable_schedule(sys, p):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
     info_sum = sys.info_sum(p)
-    L = symmetrize(np.asarray(X0, dtype=float))
+    L = symmetrize(as_covariance(sys, X0))
     for _ in range(max_iter):
         L_next = info_update(sys.A, sys.Q, L, info_sum)
         gap = np.linalg.norm(L_next - L, "fro")

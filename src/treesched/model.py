@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import is_observable
+from ._linalg import pbh_observable
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -38,6 +38,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _numbers(name: str, values) -> np.ndarray:
+    """``values`` as a float array; InvalidInput naming ``name`` if it is not one."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be a (nested) list of numbers") from None
 
 
 def as_marginals(p, m: int | None = None) -> np.ndarray:
@@ -110,13 +118,11 @@ class LinearSystem:
     info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = _frozen_array(self.A)
-        Q = _frozen_array(self.Q)
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        C = _frozen_array(C)
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
-        r = _frozen_array(r)
-        S = _frozen_array(self.Sigma0)
+        A = _frozen_array(_numbers("A", self.A))
+        Q = _frozen_array(_numbers("Q", self.Q))
+        C = _frozen_array(np.atleast_2d(_numbers("C", self.C)))
+        r = _frozen_array(np.atleast_1d(_numbers("r", self.r)))
+        S = _frozen_array(_numbers("Sigma0", self.Sigma0))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
@@ -154,13 +160,16 @@ class LinearSystem:
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.m,):
             raise DimensionMismatch(f"weights must have shape ({self.m},), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise InvalidInput("weights must be finite")
         return np.tensordot(w, self.info, axes=1)
 
 
 def validate_system(sys: LinearSystem) -> None:
-    """Raise NotObservable unless rank [C; CA; ...; CA^(n-1)] = n, singular
-    values cut at 1e-10 relative (LinearSystem checks the rest when built)."""
-    if not is_observable(sys.A, sys.C):
+    """Raise NotObservable unless the PBH rank test passes at every eigenvalue
+    of A, singular values cut at 1e-10 relative (LinearSystem checks the
+    rest when built)."""
+    if not pbh_observable(sys.A, sys.C, 0.0):
         raise NotObservable("(C, A) is not observable")
 
 
@@ -170,23 +179,25 @@ class SensorTree:
 
     ``parent[i-1]`` is the unique out-neighbor of sensor i (0 means the
     fusion center); ``cost[i-1]`` is the energy spent when sensor i
-    transmits one packet over its outgoing edge.
+    transmits one packet over its outgoing edge. ``root_first`` lists the
+    sensors by depth, ties by index, so every parent precedes its children.
     """
 
     parent: np.ndarray
     cost: np.ndarray
+    root_first: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.atleast_1d(self.parent).tolist()
         parent = _frozen_array([as_integer(v, "parent entry") for v in entries], dtype=int)
-        cost = _frozen_array(np.atleast_1d(self.cost))
+        cost = _frozen_array(np.atleast_1d(_numbers("cost", self.cost)))
         m = parent.shape[0]
         if cost.shape != (m,):
             raise DimensionMismatch(f"cost must have shape ({m},), got {cost.shape}")
         if m and (parent.min() < 0 or parent.max() > m):
             raise InvalidInput("parent indices must lie in {0, ..., m}")
-        if m and cost.min() <= 0.0:
-            raise InvalidInput("edge costs must be positive")
+        if not np.all(np.isfinite(cost) & (cost > 0.0)):
+            raise InvalidInput("edge costs must be positive and finite")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "cost", cost)
 
@@ -204,6 +215,8 @@ class SensorTree:
             children[int(parent[i - 1])].append(i)
         object.__setattr__(self, "_depth", _frozen_array(depth, dtype=int))
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
+        order = sorted(range(1, m + 1), key=lambda i: depth[i])
+        object.__setattr__(self, "root_first", tuple(order))
 
     @property
     def m(self) -> int:
@@ -252,12 +265,12 @@ class TreeDistribution:
 
     def __post_init__(self):
         trees = tuple(frozenset(t) for t in self.trees)
-        probs = _frozen_array(np.atleast_1d(self.probs))
-        if len(trees) != probs.shape[0]:
+        probs = _frozen_array(np.atleast_1d(_numbers("probs", self.probs)))
+        if probs.shape != (len(trees),):
             raise DimensionMismatch("one probability per tree required")
         if probs.size == 0:
             raise InvalidInput("distribution must have at least one support tree")
-        if probs.min() < 0.0:
+        if not np.all(probs >= 0.0):  # also rejects NaN
             raise InvalidInput(f"probabilities must be >= 0, got min {probs.min()}")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidInput(f"probabilities must sum to 1, got {probs.sum()!r}")

@@ -83,7 +83,7 @@ def feasibility_of_marginals(tree: SensorTree, p, tol: float = _MEMBERSHIP_SLACK
         return False
     if p.size == 0:
         return True
-    if p.min() < -tol or p.max() > 1.0 + tol:
+    if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # also rejects NaN
         return False
     return ordering_violation(tree, p) <= tol
 
@@ -102,8 +102,7 @@ def isotonic_tree_project(tree: SensorTree, q) -> np.ndarray:
     size = [1] * (m + 1)
     below = [list(tree.children_of(v)) for v in range(m + 1)]
     merged = [False] * (m + 1)
-    order = sorted(range(1, m + 1), key=tree.depth_of)
-    for v in reversed(order):
+    for v in reversed(tree.root_first):
         hanging = below[v]
         while hanging:
             b = max(hanging, key=lambda u: total[u] / size[u])
@@ -116,7 +115,7 @@ def isotonic_tree_project(tree: SensorTree, q) -> np.ndarray:
             merged[b] = True
 
     x = np.empty(m)
-    for v in order:
+    for v in tree.root_first:
         x[v - 1] = x[tree.parent_of(v) - 1] if merged[v] else total[v] / size[v]
     return x
 

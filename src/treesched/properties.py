@@ -62,7 +62,7 @@ def random_tree(rng: np.random.Generator, m: int) -> SensorTree:
 def random_feasible_marginals(rng: np.random.Generator, tree: SensorTree) -> np.ndarray:
     """Ordering-feasible marginals: each child draws below its parent."""
     p = np.empty(tree.m)
-    for i in sorted(range(1, tree.m + 1), key=tree.depth_of):
+    for i in tree.root_first:
         j = tree.parent_of(i)
         cap = 1.0 if j == 0 else p[j - 1]
         p[i - 1] = rng.uniform(0.0, cap)

@@ -95,7 +95,8 @@ def node_decide(node: NodeState, alpha: float) -> tuple:
 def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
     """Run one selection round, advancing every node's generator.
 
-    Nodes are processed leaves first (reverse topological order). Each
+    Nodes are processed leaves first (the tree's root-first order
+    reversed; ``nodes[i - 1]`` is sensor i, as build_nodes makes it). Each
     internal node's expected inbound set is checked against what actually
     arrived; a mismatch — possible only when nodes hold inconsistent
     probabilities — raises AgreementViolation. The same error fires if the
@@ -110,10 +111,10 @@ def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
         alphas.append(alpha)
     alpha = alphas[0]
 
-    order = sorted(nodes, key=lambda nd: tree.depth_of(nd.id), reverse=True)
     transmitted: dict = {}  # id -> merged payload sensor count
     transmissions = []
-    for node in order:
+    for i in reversed(tree.root_first):
+        node = nodes[i - 1]
         transmit, expected = node_decide(node, alpha)
         actual = tuple(c for c in node.children if c in transmitted)
         if set(actual) != set(expected):

@@ -46,6 +46,11 @@ def _support_info(sys: LinearSystem, tree: SensorTree, dist: TreeDistribution) -
     return slabs
 
 
+def _check_steps_and_seed(steps: int, seed: int) -> None:
+    if steps < 0 or seed < 0:
+        raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
+
+
 def _draw_indices(dist: TreeDistribution, rng: np.random.Generator, steps: int) -> np.ndarray:
     cum = np.cumsum(dist.probs)
     idx = np.searchsorted(cum, rng.random(steps), side="right")
@@ -75,7 +80,11 @@ def sample_path(
     seed: int,
     steps: int,
 ) -> SamplePath:
-    """Simulate one path of P_k, drawing a tree independently each step."""
+    """Simulate one path of P_k, drawing a tree independently each step.
+
+    A negative ``steps`` or ``seed`` raises InvalidInput.
+    """
+    _check_steps_and_seed(steps, seed)
     slabs = _support_info(sys, tree, dist)
     idx = _draw_indices(dist, np.random.default_rng(seed), steps)
     traces, P = _batched_paths(sys, slabs, idx[None, :])
@@ -120,6 +129,7 @@ def _monte_carlo(
 ):
     """Propagate `trials` paths of `steps` steps, trial t drawing its trees
     from default_rng([seed, t]); keyword options go to _batched_paths."""
+    _check_steps_and_seed(steps, seed)
     slabs = _support_info(sys, tree, dist)
     draws = np.empty((trials, steps), dtype=np.intp)
     for t in range(trials):
@@ -185,8 +195,8 @@ def asymptotic_expected_trace(
     beyond DIVERGENCE_FACTOR * trace(Sigma0) (a detectable support tree is
     necessary but not sufficient for stability).
     """
-    if not (0 <= burn_in < horizon):
-        raise InvalidInput("need 0 <= burn_in < horizon")
+    if not (0 <= burn_in < horizon) or trials < 1:
+        raise InvalidInput("need 0 <= burn_in < horizon and trials >= 1")
     if not any(
         prob > 0.0 and detectable_schedule(sys, indicator(members, sys.m)) for members, prob in dist
     ):

@@ -13,8 +13,8 @@ traces are nonincreasing by construction, so the scheme converges; it is
 greedy and makes no global-optimality claim.
 
 The subproblem is solved with a log-det barrier on the descent constraint
-(weight decreased geometrically from 1e-2 to 1e-8) and a spectral
-projected-gradient method over the marginal polytope. First-order
+(weight decreased geometrically from 1e-2 to 1e-8) and a nonmonotone
+spectral projected-gradient method over the marginal polytope. First-order
 stationarity is certified by the unit-step projected-gradient residual.
 When the descent constraint pins the feasible region to a sliver around
 the starting point — which happens whenever the rank-one information
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cholesky_or_none, spd_inverse, symmetrize
-from .errors import Diverged, InitialDiverged, SolverStalled
-from .lowerbound import L_infinity, L_step
+from .errors import Diverged, InitialDiverged, InvalidInput, SolverStalled
+from .lowerbound import L_infinity, L_step, as_covariance
 from .model import LinearSystem, validate_system
 from .polytope import FeasibleSet, contains, project
 
@@ -54,14 +54,20 @@ def initial_schedule(fs: FeasibleSet) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SubproblemResult:
+class GreedyIterate:
+    """One greedy step and how the descent subproblem behind it ended.
+
+    status is "start" for iterates[0] (the uniform schedule, which no
+    subproblem produced), else "certified" or "stalled"; pg_residual is the
+    last projected-gradient residual, iterations the inner iterations.
+    """
+
     p: np.ndarray
     L: np.ndarray
     trace: float
-    pg_residual: float
-    certified: bool  # stationarity residual reached PG_TOL on the last stage
-    stalled: bool  # no feasible descent direction wider than float noise
-    iterations: int
+    status: str = "start"
+    pg_residual: float = float("nan")
+    iterations: int = 0
 
 
 def solve_descent_subproblem(
@@ -69,15 +75,17 @@ def solve_descent_subproblem(
     fs: FeasibleSet,
     L_prev: np.ndarray,
     p_start: np.ndarray,
-) -> SubproblemResult:
+) -> GreedyIterate:
     """One greedy step: best feasible p that does not worsen the bound.
 
     ``p_start`` must satisfy the descent constraint at L_prev (the previous
-    iterate always does). Raises SolverStalled only when the final barrier
-    stage exhausts its iteration cap while still making progress.
+    iterate always does), else InvalidInput. Each barrier stage ends
+    certified (residual at or below its tolerance), stalled (pinned, or no
+    nonmonotone Armijo step down to t = 1e-14 with the residual above it) or
+    at MAX_INNER iterations, which raises SolverStalled on the final stage.
     """
     n, m = sys.n, sys.m
-    L_prev = symmetrize(np.asarray(L_prev, dtype=float))
+    L_prev = symmetrize(as_covariance(sys, L_prev))
     W = spd_inverse(symmetrize(sys.A @ L_prev @ sys.A.T) + sys.Q)
     Linv_prev = spd_inverse(L_prev)
     info = sys.info
@@ -94,7 +102,7 @@ def solve_descent_subproblem(
     S0 = M_of(p0) - Linv_prev
     lam_min = float(np.linalg.eigvalsh(S0).min())
     if -lam_min > 1e-6 * max(1.0, float(np.linalg.norm(S0, "fro"))):
-        raise ValueError("p_start violates the descent constraint")
+        raise InvalidInput("p_start violates the descent constraint")
     eps = BARRIER_EPS + max(0.0, -lam_min)
 
     def evaluate(p, mu):
@@ -118,7 +126,6 @@ def solve_descent_subproblem(
 
     p = p0
     pg_res = np.inf
-    status = "stalled"
     total_iters = 0
     for stage, mu in enumerate(MU_SCHEDULE):
         tol = PG_TOL if stage == len(MU_SCHEDULE) - 1 else max(PG_TOL, mu * 1e-2)
@@ -132,10 +139,7 @@ def solve_descent_subproblem(
         gnorm = float(np.abs(g).max())
         lam = min(1.0, np.sqrt(m) / max(gnorm, 1e-12))
         hist = deque([f], maxlen=10)
-        strikes = 0
-        flat = 0
         stage_start = p.copy()
-        moved = 0.0
         status = "maxiter"
         for it in range(MAX_INNER):
             total_iters += 1
@@ -144,58 +148,33 @@ def solve_descent_subproblem(
                 if pg_res <= tol:
                     status = "certified"
                     break
-                if it >= 15 and moved <= 1e-9:
+                if it >= 15 and float(np.abs(p - stage_start).max()) <= 1e-9:
                     # The descent constraint has pinned the iterate; the
                     # whole reachable sliver is narrower than float noise.
                     status = "stalled"
                     break
-            cand = project(fs, p - lam * g)
-            d = cand - p
-            if float(np.linalg.norm(d)) <= 1e-16:
-                pg_res = float(np.linalg.norm(p - project(fs, p - g)))
-                status = "certified" if pg_res <= tol else "stalled"
-                break
+            d = project(fs, p - lam * g) - p
             gd = float(g @ d)
-            if gd >= 0.0:
-                lam = max(lam * 0.1, 1e-14)
-                strikes += 1
-                if strikes >= 3:
-                    status = "stalled"
-                    break
-                continue
-            t, fref, accepted = 1.0, max(hist), False
-            while t >= 1e-14:
+            # Nonmonotone Armijo search against the largest of the last 10
+            # values; without a step the residual decides how the stage ends.
+            t, fref = 1.0, max(hist)
+            while gd < 0.0 and t >= 1e-14:
                 pn = p + t * d
                 fn, cn = evaluate(pn, mu)
                 if fn <= fref + 1e-4 * t * gd:
-                    accepted = True
                     break
                 t *= 0.5
-            if not accepted:
-                strikes += 1
-                lam = max(lam * 0.01, 1e-14)
-                if strikes >= 2:
-                    status = "stalled"
-                    break
-                continue
-            strikes = 0
-            moved = max(moved, float(np.abs(pn - stage_start).max()))
+            else:
+                pg_res = float(np.linalg.norm(p - project(fs, p - g)))
+                status = "certified" if pg_res <= tol else "stalled"
+                break
             gn = gradient(mu, cn)
             s = pn - p
             y = gn - g
             sy = float(s @ y)
             lam = min(max(float(s @ s) / sy, 1e-12), 1e12) if sy > 0 else 1e6
-            if abs(fn - f) <= 1e-13 * max(1.0, abs(fn)):
-                flat += 1
-                if flat >= 5:
-                    p, f, g = pn, fn, gn
-                    pg_res = float(np.linalg.norm(p - project(fs, p - g)))
-                    status = "certified" if pg_res <= tol else "stalled"
-                    break
-            else:
-                flat = 0
-            p, f, g = pn, fn, gn
-            hist.append(f)
+            p, g = pn, gn
+            hist.append(fn)
         if status == "stalled" and float(np.abs(p - stage_start).max()) <= 1e-9:
             # Pinned at this barrier weight; smaller weights cannot widen
             # the sliver, so stop burning stages.
@@ -207,22 +186,14 @@ def solve_descent_subproblem(
             f"{MAX_INNER} iterations on the final barrier stage"
         )
     L_k = L_step(sys, L_prev, p)
-    return SubproblemResult(
+    return GreedyIterate(
         p=p,
         L=L_k,
         trace=float(np.trace(L_k)),
+        status=status,
         pg_residual=pg_res,
-        certified=(status == "certified"),
-        stalled=(status == "stalled"),
         iterations=total_iters,
     )
-
-
-@dataclass(frozen=True)
-class GreedyIterate:
-    p: np.ndarray
-    L: np.ndarray
-    trace: float
 
 
 @dataclass(frozen=True)
@@ -267,21 +238,21 @@ def greedy_optimize(sys: LinearSystem, fs: FeasibleSet) -> GreedyTrace:
     converged = False
     prev_dp = np.inf
     for _ in range(MAX_OUTER):
-        res = solve_descent_subproblem(sys, fs, L, p)
-        if not contains(fs, res.p):
+        step = solve_descent_subproblem(sys, fs, L, p)
+        if not contains(fs, step.p):
             raise SolverStalled("subproblem returned an infeasible schedule")
-        worst = float(np.linalg.eigvalsh(res.L - L).max())
+        worst = float(np.linalg.eigvalsh(step.L - L).max())
         if worst > DESCENT_SLACK:
             raise SolverStalled(
                 f"descent constraint violated by {worst:g} (limit {DESCENT_SLACK:g})"
             )
-        decrease = iterates[-1].trace - res.trace
-        if decrease < -(sys.n * DESCENT_SLACK + 1e-12 * res.trace):
+        decrease = iterates[-1].trace - step.trace
+        if decrease < -(sys.n * DESCENT_SLACK + 1e-12 * step.trace):
             raise SolverStalled("bound trace increased across an outer iteration")
-        dp = float(np.abs(res.p - p).max())
-        p, L = res.p, res.L
-        iterates.append(GreedyIterate(p=p, L=L, trace=res.trace))
-        if decrease <= OUTER_TOL * max(res.trace, 1e-300):
+        dp = float(np.abs(step.p - p).max())
+        p, L = step.p, step.L
+        iterates.append(step)
+        if decrease <= OUTER_TOL * max(step.trace, 1e-300):
             converged = True
             break
         if dp <= 1e-10 and prev_dp <= 1e-10:

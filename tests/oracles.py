@@ -247,3 +247,12 @@ def minimum_spanning_weight_bruteforce(points: np.ndarray, offset: float) -> flo
         if ok:
             best = min(best, sum(w for _, _, w in subset))
     return best
+
+
+def kalman_observable(A: np.ndarray, C: np.ndarray) -> bool:
+    """Observability of (C, A) by the rank of [C; CA; ...; CA^(n-1)], singular
+    values cut at 1e-10 relative to the largest."""
+    n = A.shape[0]
+    blocks = [C @ np.linalg.matrix_power(A, k) for k in range(n)]
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return s[0] > 0.0 and int(np.sum(s > 1e-10 * s[0])) == n

@@ -230,6 +230,7 @@ def test_criterion_08_sample_path_ergodicity():
     print("ACCEPTANCE 8 PASS: sample-path time averages within 2% of the estimate")
 
 
+@pytest.mark.slow
 def test_criterion_09_stochastic_beats_deterministic(experiment_run):
     """>= 95 of 100 benchmark trials give ratio >= 1.0."""
     code, out_dir = experiment_run
@@ -242,6 +243,7 @@ def test_criterion_09_stochastic_beats_deterministic(experiment_run):
     print(f"ACCEPTANCE 9 PASS: {wins}/100 ratios >= 1, mean {np.mean(ratios):.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_trace_evolution_shape(experiment_run):
     """MC mean converges (<1% drift over the last 20 steps) below the
     deterministic steady state."""

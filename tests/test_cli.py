@@ -99,13 +99,52 @@ class TestOptimize:
             pytest.param(
                 "baseline", {"parent": ["a"]}, ["--budget", "1"], "InvalidInput", id="baseline-parent-str"
             ),
+            pytest.param(
+                "baseline", {"A": "abc"}, ["--budget", "1"], "InvalidInput", id="baseline-A-str"
+            ),
+            pytest.param(
+                "baseline", {"cost": ["x"]}, ["--budget", "1"], "InvalidInput", id="baseline-cost-str"
+            ),
+            pytest.param(
+                "baseline",
+                {"A": [[1.0], [2.0, 3.0]]},
+                ["--budget", "1"],
+                "InvalidInput",
+                id="baseline-A-ragged",
+            ),
+            pytest.param(
+                "baseline", {"r": {"a": 1}}, ["--budget", "1"], "InvalidInput", id="baseline-r-dict"
+            ),
+            pytest.param(
+                "baseline", {"cost": [math.nan]}, ["--budget", "1"], "InvalidInput", id="baseline-cost-nan"
+            ),
+            pytest.param(
+                "optimize", {"cost": [math.nan]}, ["--budget", "1"], "InvalidInput", id="optimize-cost-nan"
+            ),
+            pytest.param(
+                "optimize", {"cost": [math.inf]}, ["--budget", "1"], "InvalidInput", id="optimize-cost-inf"
+            ),
+            pytest.param(
+                "simulate", {}, ["--p", "2", "--out", "log.csv"], "InvalidInput", id="simulate-p-2-out"
+            ),
+            pytest.param(
+                "simulate",
+                {},
+                ["--p", "0.5", "--rounds", "-3", "--out", "log.csv"],
+                "InvalidInput",
+                id="simulate-rounds-neg-out",
+            ),
         ],
     )
-    def test_invalid_budget_exit_2(self, scalar_model, capsys, command, model, options, error):
+    def test_invalid_budget_exit_2(
+        self, scalar_model, tmp_path, monkeypatch, capsys, command, model, options, error
+    ):
         """Malformed, non-finite or out-of-range input of any kind (a budget,
         marginals, a round count, model arrays, a model that is not a complete
-        JSON object) exits 2 with one named line. ``model`` overrides keys of
-        the scalar model (DROP removes one) or, when not a dict, replaces it."""
+        JSON object) exits 2 with one named line and leaves no output file.
+        ``model`` overrides keys of the scalar model (DROP removes one) or,
+        when not a dict, replaces it; ``--out`` paths are relative to tmp_path."""
+        monkeypatch.chdir(tmp_path)
         doc = json.loads(scalar_model.read_text())
         if isinstance(model, dict):
             doc = {k: v for k, v in {**doc, **model}.items() if v is not DROP}
@@ -117,6 +156,7 @@ class TestOptimize:
         assert err.startswith(f"error: {error}:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [scalar_model.name]
 
     def test_infinite_budget_accepted(self, scalar_model, capsys):
         assert main(["optimize", str(scalar_model), "--budget", "inf"]) == 0
@@ -330,6 +370,20 @@ class TestExperiment:
         out_dir.mkdir()
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
         assert calls == {"greedy_optimize": 1, "best_deterministic": 1}
+
+    def test_every_trial_skipped_exit_2(self, tmp_path, capsys):
+        diffusion = {**json.loads(self.make_config(tmp_path).read_text())["diffusion"], "budget": 0.0}
+        cfg = self.make_config(tmp_path, **TINY_EXPERIMENT, diffusion=diffusion)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "trial 0 skipped: InitialDiverged:" in err
+        assert err.rstrip().endswith("too many skipped trials")
+        assert (out_dir / "ratios.csv").read_text().splitlines() == [
+            "trial,ratio,trace_deterministic,trace_stochastic,mean_energy"
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ratios.csv"]
 
     def test_reproducible_and_jobs_invariant(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)

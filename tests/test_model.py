@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import kalman_observable
 from treesched.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -22,12 +23,33 @@ from treesched.model import (
     tree_energy,
     validate_system,
 )
+from treesched.properties import random_system, random_tree
 
 
 class TestValidateSystem:
     def test_identity_system_ok(self):
         sys = LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
         validate_system(sys)
+
+    def test_zero_mode_unobservable(self):
+        # A nilpotent mode no row sees: detectable, yet not observable.
+        sys = LinearSystem(A=[[0.0, 0.0], [0.0, 0.5]], Q=np.eye(2), C=[[0.0, 1.0]], r=[1.0], Sigma0=np.eye(2))
+        with pytest.raises(NotObservable):
+            validate_system(sys)
+
+    def test_agrees_with_kalman_rank(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n, m = (int(k) for k in rng.integers(1, 9, size=2))
+            sys = random_system(rng, n, m)
+            C = sys.C * (rng.random((m, 1)) < 0.5)  # zero rows make some pairs unobservable
+            case = LinearSystem(A=sys.A, Q=sys.Q, C=C, r=sys.r, Sigma0=sys.Sigma0)
+            try:
+                validate_system(case)
+                observable = True
+            except NotObservable:
+                observable = False
+            assert observable == kalman_observable(case.A, case.C)
 
     def test_single_row_under_identity_dynamics_not_observable(self):
         sys = LinearSystem(A=np.eye(2), Q=np.eye(2), C=[[1.0, 0.0]], r=[1.0], Sigma0=np.eye(2))
@@ -92,6 +114,19 @@ class TestSensorTree:
     def test_nonpositive_cost_rejected(self):
         with pytest.raises(ValueError):
             SensorTree(parent=[0], cost=[0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="edge costs"):
+            SensorTree(parent=[0, 1], cost=[1.0, bad])
+
+    def test_root_first_order(self, rng):
+        assert SensorTree(parent=[0, 3, 0], cost=[1.0, 1.0, 1.0]).root_first == (1, 3, 2)
+        for _ in range(20):
+            tree = random_tree(rng, int(rng.integers(1, 12)))
+            rank = {i: k for k, i in enumerate(tree.root_first)}
+            assert sorted(rank) == list(range(1, tree.m + 1))
+            assert all(tree.parent_of(i) == 0 or rank[tree.parent_of(i)] < rank[i] for i in rank)
 
 
 class TestSubtrees:
@@ -159,6 +194,10 @@ class TestTreeDistribution:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             TreeDistribution((frozenset(), frozenset({1})), np.array([-0.1, 1.1]))
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(InvalidInput):
+            TreeDistribution((frozenset(), frozenset({1})), np.array([np.nan, 1.0]))
 
 
 class TestModelFiles:

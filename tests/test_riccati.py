@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_chain_expected_traces, scalar_fixed_point
-from treesched.errors import Diverged, InvalidSubtree
+from treesched.errors import Diverged, InvalidInput, InvalidSubtree
 from treesched.model import LinearSystem, SensorTree, TreeDistribution
 from treesched.riccati import (
     asymptotic_expected_trace,
@@ -128,6 +128,13 @@ class TestAsymptoticExpectedTrace:
                 scalar_system, scalar_tree, dist, burn_in=10, horizon=50, trials=4, seed=0
             )
 
+    def test_runtime_divergence_raises(self, scalar_tree):
+        # Detectable support, but reporting 10% of the time cannot hold A = 2.
+        sys = LinearSystem(A=[[2.0]], Q=[[1.0]], C=[[1.0]], r=[1.0], Sigma0=[[1.0]])
+        dist = TreeDistribution.from_pairs([(frozenset(), 0.9), (frozenset({1}), 0.1)])
+        with pytest.raises(Diverged, match="at step 11;"):
+            asymptotic_expected_trace(sys, scalar_tree, dist, burn_in=10, horizon=50, trials=50, seed=0)
+
     def test_mixed_dist_matches_grid_oracle(self, scalar_system, scalar_tree):
         oracle = grid_chain_expected_traces(scalar_maps(), [0.5, 0.5], 1.0, 400)
         stationary = oracle[-50:].mean()
@@ -135,3 +142,17 @@ class TestAsymptoticExpectedTrace:
             scalar_system, scalar_tree, mixed_dist(), burn_in=150, horizon=400, trials=3000, seed=9
         )
         assert est == pytest.approx(stationary, rel=0.02)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_asymptotic_needs_a_trial(scalar_system, scalar_tree, trials):
+    with pytest.raises(InvalidInput):
+        asymptotic_expected_trace(scalar_system, scalar_tree, mixed_dist(), 1, 5, trials, seed=0)
+
+
+@pytest.mark.parametrize("steps, seed", [(-1, 0), (5, -1)])
+def test_negative_steps_or_seed_rejected(scalar_system, scalar_tree, steps, seed):
+    with pytest.raises(InvalidInput):
+        sample_path(scalar_system, scalar_tree, mixed_dist(), seed=seed, steps=steps)
+    with pytest.raises(InvalidInput):
+        expected_trace_curve(scalar_system, scalar_tree, mixed_dist(), steps, trials=2, seed=seed)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import grid_search_subproblem, scalar_fixed_point
-from treesched.errors import InitialDiverged
+from treesched.errors import InitialDiverged, InvalidInput
 from treesched.lowerbound import L_infinity, L_step
 from treesched.model import LinearSystem, SensorTree
 from treesched.polytope import FeasibleSet, contains
 from treesched.properties import check_greedy_invariants, random_system, random_tree
+from treesched.testbed import DiffusionConfig, random_instance
 from treesched.scheduler import (
     greedy_optimize,
     initial_schedule,
@@ -66,6 +67,12 @@ class TestSubproblem:
         assert res.trace <= oracle_trace + 1e-3
         assert res.trace >= oracle_trace - 1e-3
 
+    def test_descent_violating_start_rejected(self, scalar_system, scalar_tree):
+        fs = FeasibleSet(scalar_tree, 1.0)
+        L_full = L_infinity(scalar_system, np.eye(1), [1.0])
+        with pytest.raises(InvalidInput, match="descent constraint"):
+            solve_descent_subproblem(scalar_system, fs, L_full, [0.0])
+
     def test_matches_grid_oracle_m3_scalar(self):
         rng = np.random.default_rng(11)
         sys = random_system(rng, 1, 3)
@@ -84,6 +91,28 @@ class TestGreedyOptimize:
         assert gt.p_star[0] == pytest.approx(1.0, abs=1e-9)
         assert gt.trace_L_inf == pytest.approx(GOLDEN_FP, abs=1e-8)
         assert gt.converged
+
+    def test_scalar_demo_certified(self, scalar_system, scalar_tree):
+        its = greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 1.0)).iterates
+        assert [it.status for it in its] == ["start", "certified"]
+        assert its[1].pg_residual <= 1e-7
+        assert its[1].iterations > 0
+
+    def test_paper_instance_stalls(self):
+        # Seed 2103's first subproblem is pinned at the uniform start.
+        inst = random_instance(DiffusionConfig(seed=2103))
+        gt = greedy_optimize(inst.system, FeasibleSet(inst.tree, DiffusionConfig().budget))
+        assert [it.status for it in gt.iterates] == ["start", "stalled"]
+        assert gt.iterates[1].pg_residual > 1e-7
+
+    def test_every_step_certified_or_stalled(self):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            sys = random_system(rng, int(rng.integers(1, 5)), 4)
+            tree = random_tree(rng, 4)
+            gt = greedy_optimize(sys, FeasibleSet(tree, 0.6 * float(tree.cost.sum())))
+            assert gt.iterates[0].status == "start"
+            assert {it.status for it in gt.iterates[1:]} <= {"certified", "stalled"}
 
     def test_useless_sensor_gets_no_budget(self):
         sys = LinearSystem(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import minimum_spanning_weight_bruteforce
-from treesched.errors import OutOfRegion, UnstableDiscretization
+from treesched.errors import NotObservable, OutOfRegion, UnstableDiscretization
 from treesched.model import validate_system
 from treesched.testbed import (
     DiffusionConfig,
@@ -118,3 +118,8 @@ class TestRandomInstance:
         attempts = [random_instance(DiffusionConfig(seed=s)).attempts for s in range(40)]
         first_try = sum(1 for a in attempts if a == 1)
         assert first_try >= 38  # >= 95%
+
+    def test_one_sensor_never_observable(self):
+        # One output row cannot observe a 16-state diffusion; every placement fails.
+        with pytest.raises(NotObservable, match="no observable placement"):
+            random_instance(DiffusionConfig(sensor_count=1))
