@@ -20,19 +20,26 @@ from .polytope import ordering_violation
 ORDERING_TOL = 1e-12
 
 
-def decompose(tree: SensorTree, p) -> TreeDistribution:
-    """Build the nested-support distribution realizing marginals p.
-
-    Raises OrderingViolated when some child marginal exceeds its parent's
-    by more than ORDERING_TOL (such p are not realizable by any distribution).
-    Zero-mass sets are dropped, so the support has at most m + 1 trees.
-    """
+def realizable_marginals(tree: SensorTree, p) -> np.ndarray:
+    """p checked by as_marginals and then for realizability: OrderingViolated
+    when some child marginal exceeds its parent's by more than ORDERING_TOL
+    (such p are not realizable by any distribution)."""
     p = as_marginals(p, tree.m)
     viol = ordering_violation(tree, p)
     if viol > ORDERING_TOL:
         raise OrderingViolated(
             f"child marginal exceeds its parent's by {viol:g}; not realizable"
         )
+    return p
+
+
+def decompose(tree: SensorTree, p) -> TreeDistribution:
+    """Build the nested-support distribution realizing marginals p.
+
+    Raises OrderingViolated for unrealizable p (see realizable_marginals).
+    Zero-mass sets are dropped, so the support has at most m + 1 trees.
+    """
+    p = realizable_marginals(tree, p)
     # Clamp sub-tolerance inversions exactly so sorted prefixes are closed.
     eff = np.array(p)
     for i in tree.root_first:

@@ -45,29 +45,28 @@ def detectable_schedule(sys: LinearSystem, p) -> bool:
     return pbh_observable(sys.A, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
 
 
-def L_infinity(
-    sys: LinearSystem, X0: np.ndarray, p, *, max_iter: int = FIXED_POINT_MAX_ITER
-) -> np.ndarray:
+def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
     """Iterate L(., p) from X0 to its fixed point.
 
     Detectability of (C_p, A) is checked first; an undetectable schedule
     raises Diverged without iterating. Convergence is declared when the
     Frobenius change falls below FIXED_POINT_TOL * (1 + ||L||_F); hitting
-    the iteration cap raises MaxIterations (near-marginal detectability).
+    the cap of FIXED_POINT_MAX_ITER iterations raises MaxIterations
+    (near-marginal detectability).
     """
     p = as_marginals(p, sys.m)
     if not detectable_schedule(sys, p):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
     info_sum = sys.info_sum(p)
     L = symmetrize(as_covariance(sys, X0))
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         L_next = info_update(sys.A, sys.Q, L, info_sum)
         gap = np.linalg.norm(L_next - L, "fro")
         L = L_next
         if gap <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L, "fro")):
             return L
     raise MaxIterations(
-        f"no fixed point within {max_iter} iterations at tolerance {FIXED_POINT_TOL:g}"
+        f"no fixed point within {FIXED_POINT_MAX_ITER} iterations at tolerance {FIXED_POINT_TOL:g}"
     )
 
 

@@ -302,7 +302,7 @@ def check_decompose_round_trip(samples: int = 100, seed: int = 23) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_shared_draw(seed: int = 0) -> None:
+def check_shared_draw() -> None:
     """Golden first draw, determinism across replicas, and a sane mean."""
     alpha, state = shared_draw(0)
     assert abs(alpha - 0.8833108082136426) < 1e-18, f"golden draw changed: {alpha!r}"

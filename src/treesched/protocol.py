@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decompose import realizable_marginals
 from .errors import AgreementViolation, InvalidInput
-from .model import SensorTree, as_marginals, tree_energy
+from .model import SensorTree, as_marginals, indicator, tree_energy
 
 _MASK64 = (1 << 64) - 1
 
@@ -166,30 +167,27 @@ def simulate_run(
     With ordering-feasible p the per-sensor selection frequencies converge
     to p and the mean energy to sum_i c_i p_i. An optional
     ``on_round(k, outcome)`` is called after each round with its number k,
-    counting from 1, and its RoundOutcome. A negative round count raises
-    InvalidInput.
+    counting from 1, and its RoundOutcome. A negative round count or seed
+    raises InvalidInput, and marginals with a child above its parent raise
+    OrderingViolated before any round runs.
     """
-    if rounds < 0:
-        raise InvalidInput(f"rounds must be >= 0, got {rounds}")
-    nodes = build_nodes(tree, p, seed)
-    counts = np.zeros(tree.m)
+    if rounds < 0 or seed < 0:
+        raise InvalidInput(f"rounds and seed must be >= 0, got rounds={rounds}, seed={seed}")
+    nodes = build_nodes(tree, realizable_marginals(tree, p), seed)
     energy_sum = 0.0
-    total_packets = 0
     tree_counts: dict = {}
     for k in range(1, rounds + 1):
         outcome = simulate_round(tree, nodes)
-        for i in outcome.selected:
-            counts[i - 1] += 1
         energy_sum += outcome.energy
-        total_packets += len(outcome.transmissions)
         tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
         if on_round is not None:
             on_round(k, outcome)
+    counts = sum((n * indicator(s, tree.m) for s, n in tree_counts.items()), np.zeros(tree.m))
     return RunSummary(
         rounds=rounds,
         empirical_marginals=counts / max(rounds, 1),
         mean_energy=energy_sum / max(rounds, 1),
         tree_counts=tree_counts,
         control_messages=0,
-        total_packets=total_packets,
+        total_packets=sum(len(s) * n for s, n in tree_counts.items()),  # one packet per sender
     )

@@ -36,27 +36,6 @@ def g_T(sys: LinearSystem, X: np.ndarray, T) -> np.ndarray:
     return L_step(sys, X, indicator(T, sys.m))
 
 
-def _support_info(sys: LinearSystem, tree: SensorTree, dist: TreeDistribution) -> np.ndarray:
-    """Stacked information sums, one (n, n) slab per support tree."""
-    slabs = np.zeros((len(dist), sys.n, sys.n))
-    for j, (members, _) in enumerate(dist):
-        if not is_valid_subtree(tree, members):
-            raise InvalidSubtree(f"support tree {sorted(members)} is not valid")
-        slabs[j] = sys.info_sum(indicator(members, sys.m))
-    return slabs
-
-
-def _check_steps_and_seed(steps: int, seed: int) -> None:
-    if steps < 0 or seed < 0:
-        raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
-
-
-def _draw_indices(dist: TreeDistribution, rng: np.random.Generator, steps: int) -> np.ndarray:
-    cum = np.cumsum(dist.probs)
-    idx = np.searchsorted(cum, rng.random(steps), side="right")
-    return np.minimum(idx, len(dist) - 1)
-
-
 @dataclass(frozen=True)
 class SamplePath:
     """One realization of the random covariance recursion.
@@ -82,59 +61,72 @@ def sample_path(
 ) -> SamplePath:
     """Simulate one path of P_k, drawing a tree independently each step.
 
-    A negative ``steps`` or ``seed`` raises InvalidInput.
+    A negative ``steps`` or ``seed`` raises InvalidInput, and a trace above
+    DIVERGENCE_FACTOR * trace(Sigma0) raises Diverged.
     """
-    _check_steps_and_seed(steps, seed)
-    slabs = _support_info(sys, tree, dist)
-    idx = _draw_indices(dist, np.random.default_rng(seed), steps)
-    traces, P = _batched_paths(sys, slabs, idx[None, :])
-    return SamplePath(traces=traces[0], tree_index=idx, final_P=P[0])
+    draws, traces, P = _propagate(sys, tree, dist, steps, seed, trials=None)
+    return SamplePath(traces=traces[0], tree_index=draws[0], final_P=P[0])
 
 
-def _batched_paths(
+def _propagate(
     sys: LinearSystem,
-    slabs: np.ndarray,
-    draws: np.ndarray,
-    *,
-    divergence_limit: float | None = None,
+    tree: SensorTree,
+    dist: TreeDistribution,
+    steps: int,
+    seed: int,
+    trials: int | None,
 ):
-    """Propagate one path per row of `draws`, the support index of each step.
+    """Propagate random covariance paths of `steps` steps under `dist`.
 
-    Returns (traces, P): traces of the shape of `draws`, (trials, steps),
-    and the final covariance stack.
+    With ``trials`` None this is the one sample path, drawing its trees from
+    default_rng(seed); otherwise trial t draws from default_rng([seed, t]).
+    Returns (draws, traces, P): the support index and trace of each path
+    and step, both (paths, steps), and the final covariance stack. Raises
+    InvalidInput for a negative ``steps`` or ``seed``, and Diverged once the
+    mean trace over the paths exceeds DIVERGENCE_FACTOR * trace(Sigma0).
     """
-    trials, steps = draws.shape
-    P = np.broadcast_to(sys.Sigma0, (trials, sys.n, sys.n)).copy()
-    traces = np.empty((trials, steps))
+    if steps < 0 or seed < 0:
+        raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
+    slabs = np.zeros((len(dist), sys.n, sys.n))  # information sum of each support tree
+    for j, (members, _) in enumerate(dist):
+        if not is_valid_subtree(tree, members):
+            raise InvalidSubtree(f"support tree {sorted(members)} is not valid")
+        slabs[j] = sys.info_sum(indicator(members, sys.m))
+    keys = [seed] if trials is None else [[seed, t] for t in range(trials)]
+    cum = np.cumsum(dist.probs)
+    draws = np.empty((len(keys), steps), dtype=np.intp)
+    for t, key in enumerate(keys):
+        draws[t] = np.searchsorted(cum, np.random.default_rng(key).random(steps), side="right")
+    np.minimum(draws, len(dist) - 1, out=draws)
+
+    limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
+    P = np.broadcast_to(sys.Sigma0, (len(keys), sys.n, sys.n)).copy()
+    traces = np.empty(draws.shape)
     diag = np.arange(sys.n)
     for k in range(steps):
         P = info_update(sys.A, sys.Q, P, slabs[draws[:, k]])
         traces[:, k] = P[:, diag, diag].sum(axis=1)
-        if divergence_limit is not None and traces[:, k].mean() > divergence_limit:
+        if traces[:, k].sum() > len(keys) * limit:
             raise Diverged(
-                f"mean trace exceeded {divergence_limit:g} at step {k + 1}; "
+                f"mean trace exceeded {limit:g} at step {k + 1}; "
                 "the schedule does not stabilize the estimator"
             )
-    return traces, P
+    return draws, traces, P
 
 
-def _monte_carlo(
+def _mean_and_stderr(
     sys: LinearSystem,
     tree: SensorTree,
     dist: TreeDistribution,
     steps: int,
     trials: int,
     seed: int,
-    **kwargs,
 ):
-    """Propagate `trials` paths of `steps` steps, trial t drawing its trees
-    from default_rng([seed, t]); keyword options go to _batched_paths."""
-    _check_steps_and_seed(steps, seed)
-    slabs = _support_info(sys, tree, dist)
-    draws = np.empty((trials, steps), dtype=np.intp)
-    for t in range(trials):
-        draws[t] = _draw_indices(dist, np.random.default_rng([seed, t]), steps)
-    return _batched_paths(sys, slabs, draws, **kwargs)
+    """Monte Carlo (mean, stderr) pairs of the per-step traces and of the final P."""
+    if trials < 2:
+        raise InvalidInput("trials must be >= 2 to estimate a standard error")
+    _, traces, P = _propagate(sys, tree, dist, steps, seed, trials)
+    return [(x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(trials)) for x in (traces, P)]
 
 
 def expected_P(
@@ -150,12 +142,7 @@ def expected_P(
     Returns (mean, stderr), both (n, n): the elementwise sample mean over
     independent paths and its elementwise standard error.
     """
-    if trials < 2:
-        raise InvalidInput("trials must be >= 2 to estimate a standard error")
-    _, P = _monte_carlo(sys, tree, dist, step, trials, seed)
-    mean = P.mean(axis=0)
-    stderr = P.std(axis=0, ddof=1) / np.sqrt(trials)
-    return mean, stderr
+    return _mean_and_stderr(sys, tree, dist, step, trials, seed)[1]
 
 
 def expected_trace_curve(
@@ -170,12 +157,7 @@ def expected_trace_curve(
 
     Returns (mean, stderr), both shape (steps,), for k = 1..steps.
     """
-    if trials < 2:
-        raise InvalidInput("trials must be >= 2 to estimate a standard error")
-    traces, _ = _monte_carlo(sys, tree, dist, steps, trials, seed)
-    mean = traces.mean(axis=0)
-    stderr = traces.std(axis=0, ddof=1) / np.sqrt(trials)
-    return mean, stderr
+    return _mean_and_stderr(sys, tree, dist, steps, trials, seed)[0]
 
 
 def asymptotic_expected_trace(
@@ -191,7 +173,7 @@ def asymptotic_expected_trace(
 
     Averages the Monte Carlo per-step means over steps in (burn_in, horizon].
     Raises Diverged up front when no support tree with positive probability
-    makes (C_T, A) detectable, and at runtime when the running mean grows
+    makes (C_T, A) detectable, and at runtime when the mean trace grows
     beyond DIVERGENCE_FACTOR * trace(Sigma0) (a detectable support tree is
     necessary but not sufficient for stability).
     """
@@ -201,7 +183,6 @@ def asymptotic_expected_trace(
         prob > 0.0 and detectable_schedule(sys, indicator(members, sys.m)) for members, prob in dist
     ):
         raise Diverged("no support tree with positive probability is detectable")
-    limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
-    traces, _ = _monte_carlo(sys, tree, dist, horizon, trials, seed, divergence_limit=limit)
+    _, traces, _ = _propagate(sys, tree, dist, horizon, seed, trials)
     window = traces[:, burn_in:].mean(axis=0)
     return float(window.mean())

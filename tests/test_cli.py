@@ -134,6 +134,9 @@ class TestOptimize:
                 "InvalidInput",
                 id="simulate-rounds-neg-out",
             ),
+            pytest.param(
+                "simulate", {}, ["--p", "0.5", "--seed", "-1"], "InvalidInput", id="simulate-seed-neg"
+            ),
         ],
     )
     def test_invalid_budget_exit_2(
@@ -197,6 +200,16 @@ class TestDecomposeSimulate:
 
     def test_decompose_infeasible_exit_2(self, chain_model, capsys):
         assert main(["decompose", str(chain_model), "--p", "0.2,0.5,0.5"]) == 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_simulate_unrealizable_exit_2(self, tmp_path, capsys, seed):
+        """A child above its parent is rejected before any round, whatever the seed."""
+        path = tmp_path / "chain2.json"
+        system = LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
+        save_model(path, system, SensorTree(parent=[0, 1], cost=[1.0, 1.0]))
+        options = ["--p", "0.5,0.6", "--rounds", "3", "--seed", str(seed)]
+        assert main(["simulate", str(path), *options]) == 2
+        assert capsys.readouterr().err.startswith("error: OrderingViolated:")
 
     def test_simulate_log(self, chain_model, tmp_path, capsys):
         out = tmp_path / "rounds.csv"

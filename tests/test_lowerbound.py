@@ -52,11 +52,12 @@ class TestLInfinity:
         fp = L_infinity(sys, [[7.0]], [0.0])
         assert fp[0, 0] == pytest.approx(1.0 / (1.0 - 0.25), abs=1e-9)
 
-    def test_iteration_cap_raises(self, scalar_system):
+    def test_iteration_cap_raises(self, scalar_system, monkeypatch):
         from treesched.errors import MaxIterations
 
+        monkeypatch.setattr("treesched.lowerbound.FIXED_POINT_MAX_ITER", 3)
         with pytest.raises(MaxIterations):
-            L_infinity(scalar_system, [[50.0]], [1.0], max_iter=3)
+            L_infinity(scalar_system, [[50.0]], [1.0])
 
     def test_limit_independent_of_start_random_4x4(self, rng):
         for k in range(20):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treesched.decompose import decompose, marginals_of
-from treesched.errors import AgreementViolation
+from treesched.errors import AgreementViolation, InvalidInput, OrderingViolated
 from treesched.model import SensorTree, indicator, tree_energy
 from treesched.properties import (
     check_protocol_matches_decomposition,
@@ -160,6 +160,7 @@ class TestSimulateRun:
         assert [k for k, _ in seen] == list(range(1, 51))
         counts = sum(indicator(outcome.selected, 4) for _, outcome in seen)
         assert np.array_equal(counts / 50, run.empirical_marginals)
+        assert run.total_packets == sum(len(outcome.transmissions) for _, outcome in seen)
 
     def test_marginals_of_observed_trees_equals_input_in_expectation(self, rng):
         tree = random_tree(rng, 6)
@@ -168,3 +169,17 @@ class TestSimulateRun:
         dist = decompose(tree, p)
         assert set(run.tree_counts) <= {members for members, _ in dist}
         assert np.abs(marginals_of(dist, 6) - p).max() <= 1e-12
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInput):
+            simulate_run(SensorTree(parent=[0], cost=[1.0]), [0.5], seed=-1, rounds=5)
+
+    def test_unrealizable_marginals_rejected_before_any_round(self):
+        tree = SensorTree(parent=[0, 1], cost=[1.0, 1.0])
+        seen = []
+        with pytest.raises(OrderingViolated):
+            simulate_run(tree, [0.5, 0.6], seed=0, rounds=5, on_round=lambda k, outcome: seen.append(k))
+        assert seen == []
+        # within decompose's tolerance the run goes ahead
+        run = simulate_run(tree, [0.5, 0.5 + 1e-13], seed=0, rounds=50)
+        assert run.rounds == 50

@@ -23,6 +23,12 @@ def mixed_dist():
     return TreeDistribution.from_pairs([(frozenset(), 0.5), (frozenset({1}), 0.5)])
 
 
+def unstable_case():
+    """Detectable support, but reporting 10% of the time cannot hold A = 2."""
+    sys = LinearSystem(A=[[2.0]], Q=[[1.0]], C=[[1.0]], r=[1.0], Sigma0=[[1.0]])
+    return sys, TreeDistribution.from_pairs([(frozenset(), 0.9), (frozenset({1}), 0.1)])
+
+
 def scalar_maps():
     return [lambda x: x + 1.0, lambda x: (x + 1.0) / (x + 2.0)]
 
@@ -129,9 +135,7 @@ class TestAsymptoticExpectedTrace:
             )
 
     def test_runtime_divergence_raises(self, scalar_tree):
-        # Detectable support, but reporting 10% of the time cannot hold A = 2.
-        sys = LinearSystem(A=[[2.0]], Q=[[1.0]], C=[[1.0]], r=[1.0], Sigma0=[[1.0]])
-        dist = TreeDistribution.from_pairs([(frozenset(), 0.9), (frozenset({1}), 0.1)])
+        sys, dist = unstable_case()
         with pytest.raises(Diverged, match="at step 11;"):
             asymptotic_expected_trace(sys, scalar_tree, dist, burn_in=10, horizon=50, trials=50, seed=0)
 
@@ -156,3 +160,13 @@ def test_negative_steps_or_seed_rejected(scalar_system, scalar_tree, steps, seed
         sample_path(scalar_system, scalar_tree, mixed_dist(), seed=seed, steps=steps)
     with pytest.raises(InvalidInput):
         expected_trace_curve(scalar_system, scalar_tree, mixed_dist(), steps, trials=2, seed=seed)
+
+
+def test_every_estimator_stops_a_diverging_schedule(scalar_tree):
+    sys, dist = unstable_case()
+    with pytest.raises(Diverged, match="exceeded 1e\\+06 at step"):
+        sample_path(sys, scalar_tree, dist, seed=0, steps=2000)
+    with pytest.raises(Diverged, match="at step 11;"):
+        expected_P(sys, scalar_tree, dist, step=2000, trials=50, seed=0)
+    with pytest.raises(Diverged, match="at step 11;"):
+        expected_trace_curve(sys, scalar_tree, dist, steps=2000, trials=50, seed=0)
