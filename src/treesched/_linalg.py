@@ -52,11 +52,7 @@ def cholesky_or_none(M: np.ndarray):
 
 def matrix_rank(M: np.ndarray) -> int:
     """Rank by SVD with a cutoff relative to the largest singular value."""
-    if M.size == 0:
-        return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
@@ -69,9 +65,6 @@ def pbh_observable(A: np.ndarray, C: np.ndarray, min_modulus: float) -> bool:
     preferred over a Gramian test for schedules with p_i = 0.
     """
     n = A.shape[0]
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[0] == 0:
-        C = C.reshape(0, n)
     eigs = np.linalg.eigvals(A)
     for lam in eigs:
         if abs(lam) < min_modulus:

@@ -79,7 +79,6 @@ class DeterministicResult:
     members: frozenset
     energy: float
     trace: float
-    P_inf: np.ndarray
     candidates: tuple  # (sorted member tuple, energy, trace or None) per candidate
 
 
@@ -104,10 +103,10 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
         rows.append((tuple(sorted(members)), energy, tr))
         key = (tr, energy, tuple(sorted(members)))
         if best is None or key < best[0]:
-            best = (key, members, energy, tr, P)
+            best = (key, members, energy, tr)
     if best is None:
         raise Diverged("no affordable transmission tree is detectable")
-    _, members, energy, tr, P = best
+    _, members, energy, tr = best
     return DeterministicResult(
-        members=members, energy=energy, trace=tr, P_inf=P, candidates=tuple(rows)
+        members=members, energy=energy, trace=tr, candidates=tuple(rows)
     )

@@ -14,19 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderingViolated
-from .model import SensorTree, TreeDistribution, as_marginals, indicator
+from .model import MARGINAL_TOL, SensorTree, TreeDistribution, as_marginals, indicator
 from .polytope import ordering_violation
-
-ORDERING_TOL = 1e-12
 
 
 def realizable_marginals(tree: SensorTree, p) -> np.ndarray:
     """p checked by as_marginals and then for realizability: OrderingViolated
-    when some child marginal exceeds its parent's by more than ORDERING_TOL
+    when some child marginal exceeds its parent's by more than MARGINAL_TOL
     (such p are not realizable by any distribution)."""
     p = as_marginals(p, tree.m)
     viol = ordering_violation(tree, p)
-    if viol > ORDERING_TOL:
+    if viol > MARGINAL_TOL:
         raise OrderingViolated(
             f"child marginal exceeds its parent's by {viol:g}; not realizable"
         )
@@ -51,9 +49,8 @@ def decompose(tree: SensorTree, p) -> TreeDistribution:
     levels = [eff[i - 1] for i in order]
 
     pairs = []
-    first = levels[0] if levels else 0.0
-    if 1.0 - first > 0.0:
-        pairs.append((frozenset(), 1.0 - first))
+    if 1.0 - levels[0] > 0.0:
+        pairs.append((frozenset(), 1.0 - levels[0]))
     members: set = set()
     for j, i in enumerate(order):
         members.add(i)

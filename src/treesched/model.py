@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-* sensors are numbered 1..m and the fusion center is node 0;
+* sensors are numbered 1..m, m >= 1, and the fusion center is node 0;
 * a transmission subtree is represented by its member set (a frozenset of
   sensor indices, never containing 0), valid when closed under the parent
   map so every member has a live relay path to the fusion center;
@@ -31,7 +31,7 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-10
-_MARGINAL_TOL = 1e-12  # slack on the [0, 1] box before a marginal is rejected
+MARGINAL_TOL = 1e-12  # slack on each marginal constraint: the [0, 1] box and child <= parent
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -48,21 +48,22 @@ def _numbers(name: str, values) -> np.ndarray:
         raise InvalidInput(f"{name} must be a (nested) list of numbers") from None
 
 
-def as_marginals(p, m: int | None = None) -> np.ndarray:
+def as_marginals(p, m: int) -> np.ndarray:
     """Validate and normalize a marginal-probability vector.
 
-    Accepts any 1-D array-like; entries must be finite and lie in [0, 1] up
-    to 1e-12 (else InvalidInput), and are clipped exactly into the box.
+    Accepts any 1-D array-like of length m (else DimensionMismatch); entries
+    must be finite and lie in [0, 1] up to MARGINAL_TOL (else InvalidInput),
+    and are clipped exactly into the box.
     Returns a read-only float array.
     """
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"marginals must be a 1-D vector, got shape {arr.shape}")
-    if m is not None and arr.shape[0] != m:
+    if arr.shape[0] != m:
         raise DimensionMismatch(f"expected {m} marginals, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("marginals must be finite numbers")
-    if arr.size and (arr.min() < -_MARGINAL_TOL or arr.max() > 1.0 + _MARGINAL_TOL):
+    if arr.min() < -MARGINAL_TOL or arr.max() > 1.0 + MARGINAL_TOL:
         raise InvalidInput(f"marginals must lie in [0, 1], got range [{arr.min()}, {arr.max()}]")
     return _frozen_array(np.clip(arr, 0.0, 1.0))
 
@@ -130,8 +131,8 @@ class LinearSystem:
             raise DimensionMismatch(f"Q must be {n}x{n}, got {Q.shape}")
         if S.shape != (n, n):
             raise DimensionMismatch(f"Sigma0 must be {n}x{n}, got {S.shape}")
-        if C.ndim != 2 or C.shape[1] != n:
-            raise DimensionMismatch(f"C must have {n} columns, got shape {C.shape}")
+        if C.ndim != 2 or C.shape[0] == 0 or C.shape[1] != n:
+            raise DimensionMismatch(f"C must be m x {n} with m >= 1, got shape {C.shape}")
         if r.shape != (C.shape[0],):
             raise DimensionMismatch(
                 f"r must have one entry per sensor ({C.shape[0]}), got shape {r.shape}"
@@ -189,12 +190,14 @@ class SensorTree:
 
     def __post_init__(self):
         entries = np.atleast_1d(self.parent).tolist()
+        if not entries:
+            raise InvalidInput("a sensor tree needs at least one sensor")
         parent = _frozen_array([as_integer(v, "parent entry") for v in entries], dtype=int)
         cost = _frozen_array(np.atleast_1d(_numbers("cost", self.cost)))
         m = parent.shape[0]
         if cost.shape != (m,):
             raise DimensionMismatch(f"cost must have shape ({m},), got {cost.shape}")
-        if m and (parent.min() < 0 or parent.max() > m):
+        if parent.min() < 0 or parent.max() > m:
             raise InvalidInput("parent indices must lie in {0, ..., m}")
         if not np.all(np.isfinite(cost) & (cost > 0.0)):
             raise InvalidInput("edge costs must be positive and finite")

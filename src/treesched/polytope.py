@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBudget, InvalidInput, SolverStalled
-from .model import SensorTree
+from .model import MARGINAL_TOL, SensorTree
 
 KKT_TOL = 1e-8
-_MEMBERSHIP_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +63,7 @@ def ordering_violation(tree: SensorTree, p: np.ndarray) -> float:
     return worst
 
 
-def contains(fs: FeasibleSet, p, tol: float = _MEMBERSHIP_SLACK) -> bool:
+def contains(fs: FeasibleSet, p, tol: float = MARGINAL_TOL) -> bool:
     """Membership test with slack ``tol`` on every constraint."""
     p = np.asarray(p, dtype=float)
     if not feasibility_of_marginals(fs.tree, p, tol):
@@ -72,7 +71,7 @@ def contains(fs: FeasibleSet, p, tol: float = _MEMBERSHIP_SLACK) -> bool:
     return float(fs.tree.cost @ p) <= fs.budget + tol
 
 
-def feasibility_of_marginals(tree: SensorTree, p, tol: float = _MEMBERSHIP_SLACK) -> bool:
+def feasibility_of_marginals(tree: SensorTree, p, tol: float = MARGINAL_TOL) -> bool:
     """True iff some tree distribution realizes p: box plus parent ordering.
 
     This is the marginal-realizability condition; the energy budget plays
@@ -81,8 +80,6 @@ def feasibility_of_marginals(tree: SensorTree, p, tol: float = _MEMBERSHIP_SLACK
     p = np.asarray(p, dtype=float)
     if p.shape != (tree.m,):
         return False
-    if p.size == 0:
-        return True
     if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # also rejects NaN
         return False
     return ordering_violation(tree, p) <= tol
@@ -134,8 +131,6 @@ def project(fs: FeasibleSet, q) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of length {m}, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise InvalidInput("the point to project must be finite")
-    if m == 0:
-        return q.copy()
 
     c = fs.tree.cost.astype(float)
     c_norm = float(np.linalg.norm(c))

@@ -94,23 +94,22 @@ def node_decide(node: NodeState, alpha: float) -> tuple:
 
 
 def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
-    """Run one selection round, advancing every node's generator.
+    """Run one selection round: one shared draw from the nodes' common state.
 
-    Nodes are processed leaves first (the tree's root-first order
-    reversed; ``nodes[i - 1]`` is sensor i, as build_nodes makes it). Each
-    internal node's expected inbound set is checked against what actually
-    arrived; a mismatch — possible only when nodes hold inconsistent
-    probabilities — raises AgreementViolation. The same error fires if the
-    transmitting set is not exactly {i : alpha <= p_i}.
+    Nodes entering with different PRNG states raise AgreementViolation;
+    otherwise every node takes the advanced state. Nodes then run their rule
+    leaves first (root-first order reversed; ``nodes[i - 1]`` is sensor i).
+    Each internal node's expected inbound set is checked against what
+    actually arrived; a mismatch — possible only when nodes hold
+    inconsistent probabilities — raises AgreementViolation, as does a
+    transmitting set other than {i : alpha <= p_i}.
     """
     states = {node.prng_state for node in nodes}
     if len(states) > 1:
         raise AgreementViolation("nodes entered the round with different PRNG states")
-    alphas = []
+    alpha, state = shared_draw(nodes[0].prng_state)
     for node in nodes:
-        alpha, node.prng_state = shared_draw(node.prng_state)
-        alphas.append(alpha)
-    alpha = alphas[0]
+        node.prng_state = state
 
     transmitted: dict = {}  # id -> merged payload sensor count
     transmissions = []
@@ -118,7 +117,7 @@ def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
         node = nodes[i - 1]
         transmit, expected = node_decide(node, alpha)
         actual = tuple(c for c in node.children if c in transmitted)
-        if set(actual) != set(expected):
+        if actual != expected:
             raise AgreementViolation(
                 f"node {node.id} expected packets from {sorted(expected)} "
                 f"but received from {sorted(actual)}"

@@ -49,7 +49,7 @@ OUTER_TOL = 1e-8  # relative per-step trace decrease that ends the greedy loop
 def initial_schedule(fs: FeasibleSet) -> np.ndarray:
     """Uniform schedule spending the whole budget, clamped into [0, 1]."""
     total = float(fs.tree.cost.sum())
-    value = 1.0 if total == 0.0 else min(1.0, fs.budget / total)
+    value = min(1.0, fs.budget / total)
     return np.full(fs.m, value)
 
 

@@ -417,6 +417,17 @@ def test_selftest_passes(capsys):
     assert "all" in captured and "checks passed" in captured
 
 
+def test_selftest_failure_exit_4(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(cli.properties, "CHECKS", (("injected-failure", broken),))
+    assert main(["selftest"]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL injected-failure: injected" in captured.out
+    assert "1 checks failed" in captured.err
+
+
 def test_module_entry_point(scalar_model):
     # The subprocess does not inherit pytest's pythonpath, so point it at src.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -19,6 +19,8 @@ from treesched.model import (
     indicator,
     is_valid_subtree,
     load_model,
+    model_from_dict,
+    model_to_dict,
     save_model,
     tree_energy,
     validate_system,
@@ -84,6 +86,12 @@ class TestValidateSystem:
             LinearSystem(A=np.eye(2), Q=np.eye(3), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
         with pytest.raises(DimensionMismatch):
             LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0], Sigma0=np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            LinearSystem(A=[[0.5]], Q=[[1.0]], C=[[1.0, 2.0]], r=[1.0], Sigma0=[[1.0]])
+
+    def test_system_without_sensors_rejected(self):
+        with pytest.raises(DimensionMismatch, match="m >= 1"):
+            LinearSystem(A=[[0.5]], Q=[[1.0]], C=np.zeros((0, 1)), r=[], Sigma0=[[1.0]])
 
     def test_arrays_frozen(self):
         sys = LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
@@ -105,6 +113,14 @@ class TestSensorTree:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             SensorTree(parent=[2, 1], cost=[1.0, 1.0])
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one sensor"):
+            SensorTree(parent=[], cost=[])
+
+    def test_parent_out_of_range_rejected(self):
+        with pytest.raises(InvalidInput, match="parent indices"):
+            SensorTree(parent=[2], cost=[1.0])
 
     def test_children_and_depth(self, chain3_tree):
         assert chain3_tree.children_of(0) == (1,)
@@ -168,6 +184,8 @@ class TestMarginals:
             as_marginals([1.5], 1)
         with pytest.raises(DimensionMismatch):
             as_marginals([0.5, 0.5], 1)
+        with pytest.raises(DimensionMismatch):
+            as_marginals([[0.5]], 1)
         out = as_marginals([0.25, 1.0], 2)
         assert out.tolist() == [0.25, 1.0]
         for bad in (np.nan, np.inf, -np.inf, 1.5, -0.5):
@@ -194,6 +212,10 @@ class TestTreeDistribution:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             TreeDistribution((frozenset(), frozenset({1})), np.array([-0.1, 1.1]))
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one support tree"):
+            TreeDistribution((), [])
 
     def test_nan_probability_rejected(self):
         with pytest.raises(InvalidInput):
@@ -224,6 +246,13 @@ class TestModelFiles:
         ]:
             assert np.array_equal(a, b)
         assert np.array_equal(tree.parent, tree2.parent)
+
+    def test_declared_dimension_disagreement_rejected(self):
+        sys = LinearSystem(A=np.eye(1), Q=np.eye(1), C=[[1.0]], r=[1.0], Sigma0=np.eye(1))
+        doc = model_to_dict(sys, SensorTree(parent=[0], cost=[1.0]))
+        doc["n"] = 2
+        with pytest.raises(DimensionMismatch, match="declared n/m"):
+            model_from_dict(doc)
 
     def test_mismatched_tree_rejected(self, tmp_path):
         sys = LinearSystem(A=np.eye(1), Q=np.eye(1), C=[[1.0]], r=[1.0], Sigma0=np.eye(1))

@@ -117,6 +117,17 @@ class TestSimulateRound:
             for _ in range(200):
                 simulate_round(tree, nodes)
 
+    def test_transmitting_set_checked_against_threshold_rule(self):
+        # Sensor 2 above its parent: sensor 1 relays for it without being selected.
+        tree = SensorTree(parent=[0, 1], cost=[1.0, 1.0])
+        assert 0.3 < shared_draw(1)[0] <= 0.8
+        nodes = build_nodes(tree, [0.3, 0.8], seed=1)
+        with pytest.raises(
+            AgreementViolation,
+            match=r"transmitting set \[1, 2\] disagrees with the threshold rule \[2\]",
+        ):
+            simulate_round(tree, nodes)
+
     def test_desynchronized_generator_detected(self):
         tree = self.chain()
         nodes = build_nodes(tree, [0.8, 0.5, 0.3], seed=0)

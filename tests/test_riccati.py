@@ -154,6 +154,11 @@ def test_asymptotic_needs_a_trial(scalar_system, scalar_tree, trials):
         asymptotic_expected_trace(scalar_system, scalar_tree, mixed_dist(), 1, 5, trials, seed=0)
 
 
+def test_expected_trace_curve_needs_two_trials(scalar_system, scalar_tree):
+    with pytest.raises(InvalidInput):
+        expected_trace_curve(scalar_system, scalar_tree, mixed_dist(), 5, trials=1, seed=0)
+
+
 @pytest.mark.parametrize("steps, seed", [(-1, 0), (5, -1)])
 def test_negative_steps_or_seed_rejected(scalar_system, scalar_tree, steps, seed):
     with pytest.raises(InvalidInput):
