@@ -2,10 +2,10 @@
 
 Every covariance step in the package (the lower-bound map, the Riccati
 map g_T and the batched Monte Carlo paths) is one call of ``info_update``,
-so the same two numerical policies apply everywhere: results of an
-inversion are symmetrized to control floating-point drift, and inversions
-go through a Cholesky factorization that raises ``SingularMatrix`` instead
-of silently regularizing.
+so the same two numerical policies apply everywhere. Products A X A^T,
+inverses and ``LinearSystem.info_sum`` are symmetrized where they are
+formed; a sum of exactly symmetric arrays is exact and is left alone.
+Inversions raise ``SingularMatrix`` on a failed Cholesky, never regularizing.
 """
 
 from __future__ import annotations
@@ -87,4 +87,4 @@ def info_update(
     matching stack of info_sum's).
     """
     Z = spd_inverse(symmetrize(A @ X @ A.T) + Q)
-    return spd_inverse(symmetrize(Z + info_sum))
+    return spd_inverse(Z + info_sum)

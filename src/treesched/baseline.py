@@ -89,24 +89,18 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
     diverges); ties break toward lower energy, then lexicographic members.
     Raises Diverged when no affordable candidate is detectable.
     """
-    candidates = enumerate_subtrees(tree, budget)
-    best = None
     rows = []
-    for members in candidates:
-        energy = tree_energy(tree, members)
+    for members in enumerate_subtrees(tree, budget):
         try:
             P = L_infinity(sys, sys.Sigma0, indicator(members, sys.m))
+            tr = float(np.trace(P))
         except Diverged:
-            rows.append((tuple(sorted(members)), energy, None))
-            continue
-        tr = float(np.trace(P))
-        rows.append((tuple(sorted(members)), energy, tr))
-        key = (tr, energy, tuple(sorted(members)))
-        if best is None or key < best[0]:
-            best = (key, members, energy, tr)
-    if best is None:
+            tr = None
+        rows.append((tuple(sorted(members)), tree_energy(tree, members), tr))
+    ranked = [(tr, energy, members) for members, energy, tr in rows if tr is not None]
+    if not ranked:
         raise Diverged("no affordable transmission tree is detectable")
-    _, members, energy, tr = best
+    tr, energy, members = min(ranked)
     return DeterministicResult(
-        members=members, energy=energy, trace=tr, candidates=tuple(rows)
+        members=frozenset(members), energy=energy, trace=tr, candidates=tuple(rows)
     )

@@ -225,15 +225,15 @@ def _figure_paths(settings: SimpleNamespace, trial_row: dict, out_dir) -> None:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
     settings = _experiment_settings(_read_config(args.config))
-    trials = settings.trials
-    payloads = [(settings, t) for t in range(trials)]
+    payloads = [(settings, t) for t in range(settings.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_experiment_trial, payloads))
     else:
         rows = [_experiment_trial(p) for p in payloads]
-    rows.sort(key=lambda r: r["trial"])
 
     ok_rows = [r for r in rows if r["ok"]]
     skipped = [r for r in rows if not r["ok"]]
@@ -250,14 +250,14 @@ def cmd_experiment(args) -> int:
         print("trials_skipped", len(skipped))
         print("mean_ratio", _fmt(ratios.mean()))
         print("fraction_ratio_ge_1", _fmt(float((ratios >= 1.0).mean())))
-    if len(skipped) > 0.1 * trials:
+    if len(skipped) > 0.1 * settings.trials:
         print("too many skipped trials", file=_sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    results = properties.run_all(verbose=True)
+    results = properties.run_all()
     failures = [name for name, err in results if err is not None]
     if failures:
         print(f"{len(failures)} checks failed", file=_sys.stderr)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import pbh_observable
+from ._linalg import pbh_observable, symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -41,11 +41,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def _numbers(name: str, values) -> np.ndarray:
-    """``values`` as a float array; InvalidInput naming ``name`` if it is not one."""
+    """``values`` as a float array; InvalidInput naming ``name`` if it is not one or holds a bool."""
     try:
-        return np.array(values, dtype=float)
+        if not any(isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
+            return np.array(values, dtype=float)
     except (TypeError, ValueError):
-        raise InvalidInput(f"{name} must be a (nested) list of numbers") from None
+        pass
+    raise InvalidInput(f"{name} must be a (nested) list of numbers")
 
 
 def as_marginals(p, m: int) -> np.ndarray:
@@ -69,9 +71,9 @@ def as_marginals(p, m: int) -> np.ndarray:
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` as an int; ints, integral floats and decimal strings pass, else InvalidInput."""
+    """``value`` as an int; ints, integral floats and decimal strings pass, else InvalidInput (bools too)."""
     try:
-        if not isinstance(value, float) or value.is_integer():
+        if not isinstance(value, (bool, np.bool_)) and (not isinstance(value, float) or value.is_integer()):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -157,13 +159,13 @@ class LinearSystem:
         return self.C.shape[0]
 
     def info_sum(self, weights) -> np.ndarray:
-        """Weighted information matrix sum_i w_i C_i^T C_i / r_i."""
+        """Weighted information matrix sum_i w_i C_i^T C_i / r_i, exactly symmetric."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.m,):
             raise DimensionMismatch(f"weights must have shape ({self.m},), got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InvalidInput("weights must be finite")
-        return np.tensordot(w, self.info, axes=1)
+        return symmetrize(np.tensordot(w, self.info, axes=1))
 
 
 def validate_system(sys: LinearSystem) -> None:

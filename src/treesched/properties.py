@@ -454,17 +454,15 @@ CHECKS = (
 )
 
 
-def run_all(verbose: bool = True) -> list:
+def run_all() -> list:
     """Run every check; returns a list of (name, error-or-None)."""
     results = []
     for name, fn in CHECKS:
         try:
             fn()
             results.append((name, None))
-            if verbose:
-                print(f"PASS {name}")
+            print(f"PASS {name}")
         except AssertionError as exc:
             results.append((name, str(exc)))
-            if verbose:
-                print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
     return results

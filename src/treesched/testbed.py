@@ -17,7 +17,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInput, NotObservable, OutOfRegion, UnstableDiscretization
+from .errors import (
+    InvalidBudget,
+    InvalidInput,
+    NonPositiveNoise,
+    NotObservable,
+    OutOfRegion,
+    UnstableDiscretization,
+)
 from .model import LinearSystem, SensorTree, as_integer, validate_system
 
 MAX_ATTEMPTS = 100  # placements tried before giving up on an observable instance
@@ -38,18 +45,26 @@ class DiffusionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        ratio = self.side_length / self.grid_spacing
+        parse = {"int": as_integer, "float": _finite}
+        for f in fields(self):
+            object.__setattr__(self, f.name, parse[f.type](getattr(self, f.name), f.name))
+        ratio = self.side_length / self.grid_spacing if self.grid_spacing > 0.0 else 0.0
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise InvalidInput("side_length must be a positive integer multiple of grid_spacing")
+            raise InvalidInput("need grid_spacing > 0 and side_length a positive integer multiple of it")
         stability = self.diffusion_rate * self.time_step / self.grid_spacing**2
-        if stability > 0.25:
+        if not 0.0 <= stability <= 0.25:
             raise UnstableDiscretization(
-                f"alpha*dt/h^2 = {stability:g} exceeds the explicit-scheme bound 0.25"
+                f"alpha*dt/h^2 = {stability:g} lies outside the explicit-scheme range [0, 0.25]"
             )
         if self.sensor_count < 1:
             raise InvalidInput("need at least one sensor")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        if self.budget < 0.0:
+            raise InvalidBudget(f"energy budget must be nonnegative, got {self.budget!r}")
+        for name in ("process_noise", "measurement_noise", "initial_variance"):
+            if getattr(self, name) <= 0.0:
+                raise NonPositiveNoise(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def grid_side(self) -> int:
@@ -151,10 +166,6 @@ class DiffusionInstance:
     attempts: int
 
 
-def sample_positions(cfg: DiffusionConfig, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(0.0, cfg.side_length, size=(cfg.sensor_count, 2))
-
-
 def random_instance(cfg: DiffusionConfig) -> DiffusionInstance:
     """Generate one observable benchmark instance.
 
@@ -164,7 +175,7 @@ def random_instance(cfg: DiffusionConfig) -> DiffusionInstance:
     A, Q, Sigma0 = build_dynamics(cfg)
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([cfg.seed, attempt])
-        positions = sample_positions(cfg, rng)
+        positions = rng.uniform(0.0, cfg.side_length, size=(cfg.sensor_count, 2))
         C = build_observation(cfg, positions)
         sys = LinearSystem(
             A=A, Q=Q, C=C, r=cfg.measurement_noise * np.ones(cfg.sensor_count), Sigma0=Sigma0
@@ -182,7 +193,7 @@ def random_instance(cfg: DiffusionConfig) -> DiffusionInstance:
 
 def _finite(value, name: str) -> float:
     try:
-        if math.isfinite(out := float(value)):
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(out := float(value)):
             return out
     except (TypeError, ValueError):
         pass
@@ -190,10 +201,7 @@ def _finite(value, name: str) -> float:
 
 
 def config_from_dict(doc: dict) -> DiffusionConfig:
-    """A DiffusionConfig from a JSON object, unknown keys ignored: integer
-    fields follow ``model.as_integer``, the others must be finite numbers."""
+    """A DiffusionConfig from a JSON object; unknown keys are ignored."""
     if not isinstance(doc, dict):
         raise InvalidInput(f"a diffusion config must be a JSON object, got {type(doc).__name__}")
-    parse = {"int": as_integer, "float": _finite}
-    known = [f for f in fields(DiffusionConfig) if f.name in doc]
-    return DiffusionConfig(**{f.name: parse[f.type](doc[f.name], f.name) for f in known})
+    return DiffusionConfig(**{f.name: doc[f.name] for f in fields(DiffusionConfig) if f.name in doc})

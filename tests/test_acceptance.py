@@ -71,7 +71,8 @@ def experiment_run(tmp_path_factory):
     cfg_path.write_text(json.dumps(cfg))
     out_dir = root / "out"
     out_dir.mkdir()
-    code = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    # Two workers; outputs are identical for every --jobs value.
+    code = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir), "--jobs", "2"])
     return code, out_dir
 
 

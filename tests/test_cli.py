@@ -137,6 +137,15 @@ class TestOptimize:
             pytest.param(
                 "simulate", {}, ["--p", "0.5", "--seed", "-1"], "InvalidInput", id="simulate-seed-neg"
             ),
+            pytest.param(
+                "baseline", {"A": [[True]]}, ["--budget", "1"], "InvalidInput", id="baseline-A-bool"
+            ),
+            pytest.param(
+                "baseline", {"parent": [False]}, ["--budget", "1"], "InvalidInput", id="baseline-parent-bool"
+            ),
+            pytest.param(
+                "baseline", {"cost": [True]}, ["--budget", "1"], "InvalidInput", id="baseline-cost-bool"
+            ),
         ],
     )
     def test_invalid_budget_exit_2(
@@ -297,6 +306,36 @@ TINY_EXPERIMENT = {
         pytest.param("diffusion", {"seed": -1}, "InvalidInput", id="diffusion-seed-neg"),
         pytest.param("experiment", {"trials": 1.7}, "InvalidInput", id="experiment-trials-1.7"),
         pytest.param("experiment", {"diffusion": [1]}, "InvalidInput", id="experiment-diffusion-list"),
+        pytest.param("diffusion", {"grid_spacing": 0}, "InvalidInput", id="diffusion-grid-spacing-0"),
+        pytest.param(
+            "diffusion", {"grid_spacing": -1, "side_length": -3}, "InvalidInput", id="diffusion-grid-spacing-neg"
+        ),
+        pytest.param(
+            "diffusion", {"diffusion_rate": -0.1}, "UnstableDiscretization", id="diffusion-rate-neg"
+        ),
+        pytest.param("experiment", {"trials": True}, "InvalidInput", id="experiment-trials-bool"),
+        pytest.param("diffusion", {"budget": True}, "InvalidInput", id="diffusion-budget-bool"),
+        pytest.param(
+            "experiment", {"diffusion": {"budget": -1}}, "InvalidBudget", id="experiment-budget-neg"
+        ),
+        pytest.param(
+            "experiment",
+            {"diffusion": {"process_noise": -1}},
+            "NonPositiveNoise",
+            id="experiment-process-noise-neg",
+        ),
+        pytest.param(
+            "experiment",
+            {"diffusion": {"measurement_noise": 0}},
+            "NonPositiveNoise",
+            id="experiment-measurement-noise-0",
+        ),
+        pytest.param(
+            "experiment",
+            {"diffusion": {"initial_variance": -4}},
+            "NonPositiveNoise",
+            id="experiment-initial-variance-neg",
+        ),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
@@ -315,6 +354,18 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    """--jobs below 1 is rejected before the config is read (this one does not
+    exist, which would exit 3), with one named line and no output."""
+    config = tmp_path / "missing.json"
+    assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidInput:")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestExperiment:

@@ -152,6 +152,10 @@ class TestSubtrees:
         assert is_valid_subtree(tree, {1})
         assert is_valid_subtree(tree, set())
 
+    @pytest.mark.parametrize("members", [{0}, {3}, {1, 3}, {-1}])
+    def test_out_of_range_sensor_is_invalid(self, members):
+        assert not is_valid_subtree(SensorTree(parent=[0, 1], cost=[1.0, 2.0]), members)
+
     def test_chain_energy(self):
         tree = SensorTree(parent=[0, 1], cost=[1.0, 2.0])
         assert tree_energy(tree, {1, 2}) == 3.0
@@ -252,6 +256,13 @@ class TestModelFiles:
         doc = model_to_dict(sys, SensorTree(parent=[0], cost=[1.0]))
         doc["n"] = 2
         with pytest.raises(DimensionMismatch, match="declared n/m"):
+            model_from_dict(doc)
+
+    def test_loaded_tree_size_must_match_system(self):
+        sys = LinearSystem(A=np.eye(1), Q=np.eye(1), C=[[1.0]], r=[1.0], Sigma0=np.eye(1))
+        doc = model_to_dict(sys, SensorTree(parent=[0], cost=[1.0]))
+        doc.update(parent=[0, 1], cost=[1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match="tree has 2 sensors"):
             model_from_dict(doc)
 
     def test_mismatched_tree_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_search_projection
-from treesched.errors import DimensionMismatch, InvalidInput
+from treesched.errors import DimensionMismatch, InvalidInput, SolverStalled
 from treesched.model import SensorTree
 from treesched.polytope import (
     FeasibleSet,
@@ -66,6 +66,13 @@ class TestProject:
     def test_wrong_length_rejected(self, chain2_fs):
         with pytest.raises(DimensionMismatch):
             project(chain2_fs, [0.5, 0.5, 0.5])
+
+    def test_unbracketable_multiplier_raises(self):
+        # The multiplier bracket grows by 4x for 200 tries, up to about 1e120,
+        # too little to pull a coordinate of 1e300 down onto the budget.
+        fs = FeasibleSet(SensorTree(parent=[0], cost=[1.0]), 0.5)
+        with pytest.raises(SolverStalled, match="bracket"):
+            project(fs, [1e300])
 
     def test_zero_budget_collapses_to_origin(self, rng):
         tree = random_tree(rng, 5)

@@ -1,12 +1,14 @@
 """Greedy descent optimizer: initialization, subproblem, full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from oracles import grid_search_subproblem, scalar_fixed_point
-from treesched.errors import InitialDiverged, InvalidInput
+import treesched.scheduler as scheduler
+from treesched.errors import InitialDiverged, InvalidInput, SolverStalled
 from treesched.lowerbound import L_infinity, L_step
 from treesched.model import LinearSystem, SensorTree
 from treesched.polytope import FeasibleSet, contains
@@ -72,6 +74,18 @@ class TestSubproblem:
         L_full = L_infinity(scalar_system, np.eye(1), [1.0])
         with pytest.raises(InvalidInput, match="descent constraint"):
             solve_descent_subproblem(scalar_system, fs, L_full, [0.0])
+
+    def test_final_stage_iteration_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n = int(rng.integers(1, 4))
+        sys = random_system(rng, n, 2)
+        tree = random_tree(rng, 2)
+        fs = FeasibleSet(tree, float(rng.uniform(0.4, 0.9)) * float(tree.cost.sum()))
+        p0 = initial_schedule(fs)
+        L0 = L_infinity(sys, np.eye(n), p0)
+        monkeypatch.setattr(scheduler, "MAX_INNER", 1)
+        with pytest.raises(SolverStalled, match="final barrier stage"):
+            solve_descent_subproblem(sys, fs, L0, p0)
 
     def test_matches_grid_oracle_m3_scalar(self):
         rng = np.random.default_rng(11)
@@ -154,3 +168,38 @@ class TestGreedyOptimize:
         gt = greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 0.4))
         assert gt.p_star[0] == pytest.approx(0.4, abs=1e-8)
         assert gt.trace_L_inf == pytest.approx(scalar_fixed_point(1, 1, 1, 1, 0.4), abs=1e-7)
+
+
+class TestFaultDetectors:
+    """greedy_optimize cross-checks every step and its limit; a faulty
+    subproblem solver or fixed-point routine, injected here, is caught."""
+
+    def run_with_step(self, monkeypatch, sys, tree, alter):
+        real = scheduler.solve_descent_subproblem
+        monkeypatch.setattr(
+            scheduler, "solve_descent_subproblem", lambda *args: alter(real(*args))
+        )
+        return greedy_optimize(sys, FeasibleSet(tree, 0.4))
+
+    def test_infeasible_step_raises(self, monkeypatch, scalar_system, scalar_tree):
+        with pytest.raises(SolverStalled, match="infeasible"):
+            self.run_with_step(
+                monkeypatch, scalar_system, scalar_tree, lambda s: dataclasses.replace(s, p=s.p + 0.5)
+            )
+
+    def test_ascending_step_raises(self, monkeypatch, scalar_system, scalar_tree):
+        with pytest.raises(SolverStalled, match="descent constraint violated"):
+            self.run_with_step(
+                monkeypatch, scalar_system, scalar_tree, lambda s: dataclasses.replace(s, L=s.L + 1e-3)
+            )
+
+    def test_fixed_point_gap_raises(self, monkeypatch, scalar_system, scalar_tree):
+        real = scheduler.L_infinity
+
+        def perturbed(sys, X0, p):
+            L = real(sys, X0, p)
+            return 1.01 * L if X0 is sys.Sigma0 else L
+
+        monkeypatch.setattr(scheduler, "L_infinity", perturbed)
+        with pytest.raises(SolverStalled, match="fixed point from Sigma0"):
+            greedy_optimize(scalar_system, FeasibleSet(scalar_tree, 0.4))

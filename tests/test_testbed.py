@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import minimum_spanning_weight_bruteforce
-from treesched.errors import NotObservable, OutOfRegion, UnstableDiscretization
+from treesched.errors import (
+    InvalidBudget,
+    InvalidInput,
+    NonPositiveNoise,
+    NotObservable,
+    OutOfRegion,
+    UnstableDiscretization,
+)
 from treesched.model import validate_system
 from treesched.testbed import (
     DiffusionConfig,
@@ -28,6 +35,32 @@ class TestConfig:
     def test_non_divisible_side_rejected(self):
         with pytest.raises(ValueError):
             DiffusionConfig(side_length=3.5, grid_spacing=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("sensor_count", 2.5), ("seed", 1.5), ("sensor_count", True)]
+    )
+    def test_integer_fields_checked_at_construction(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            DiffusionConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("budget", -1.0, InvalidBudget),
+            ("process_noise", -1.0, NonPositiveNoise),
+            ("measurement_noise", 0.0, NonPositiveNoise),
+            ("initial_variance", -4.0, NonPositiveNoise),
+            ("cost_offset", float("nan"), InvalidInput),
+        ],
+    )
+    def test_domain_checked_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            DiffusionConfig(**{field: value})
+
+    def test_fields_parsed_at_construction(self):
+        cfg = DiffusionConfig(sensor_count="4", budget=6)
+        assert (cfg.sensor_count, cfg.budget) == (4, 6.0)
+        assert type(cfg.budget) is float
 
 
 class TestDynamics:
