@@ -1,11 +1,16 @@
 """Symmetric positive-definite linear algebra helpers.
 
-Every covariance step in the package (the lower-bound map, the Riccati
-map g_T and the batched Monte Carlo paths) is one call of ``info_update``,
-so the same two numerical policies apply everywhere. Products A X A^T,
-inverses and ``LinearSystem.info_sum`` are symmetrized where they are
-formed; a sum of exactly symmetric arrays is exact and is left alone.
-Inversions raise ``SingularMatrix`` on a failed Cholesky, never regularizing.
+A covariance step is a prediction A X A^T + Q followed by a measurement
+update, in one of two equivalent forms. The lower-bound map and the Riccati
+map g_T use ``info_update`` (information form), which takes fractional
+sensor weights. Monte Carlo paths and sample paths use
+``covariance_update`` (covariance form), which inverts only the innovation
+covariance of the reporting sensors, so a step with no report costs no
+inversion at all. The same two numerical policies apply to both. Products
+A X A^T, C X C^T, inverses and ``LinearSystem.info_sum`` are symmetrized
+where they are formed; a sum of exactly symmetric arrays is exact and is
+left alone. Inversions raise ``SingularMatrix`` on a failed Cholesky, never
+regularizing.
 """
 
 from __future__ import annotations
@@ -88,3 +93,18 @@ def info_update(
     """
     Z = spd_inverse(symmetrize(A @ X @ A.T) + Q)
     return spd_inverse(Z + info_sum)
+
+
+def covariance_update(M: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One covariance-form measurement update of the predicted covariance M:
+
+        M - M C^T S^{-1} C M,   S = C M C^T + diag(r),
+
+    for observation rows C (q x n) with independent noise variances r. It
+    equals the information form [M^{-1} + C^T diag(r)^{-1} C]^{-1} with one
+    q x q inversion instead of two n x n ones. Works on a single M or a
+    stack of them; raises SingularMatrix when S is not positive definite.
+    """
+    MC = M @ C.T
+    S = symmetrize(C @ MC) + np.diag(r)
+    return symmetrize(M - MC @ spd_inverse(S) @ np.swapaxes(MC, -1, -2))

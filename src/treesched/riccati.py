@@ -10,6 +10,13 @@ step the error covariance P_k becomes a random matrix; this module provides
 the map itself, single sample paths, and batched Monte Carlo estimates of
 E[P_k] and of the asymptotic expected trace.
 
+Sample paths and Monte Carlo apply the same map in covariance form: predict
+M = A X A^T + Q, then update M - M C_T^T (C_T M C_T^T + R_T)^{-1} C_T M
+with T's observation rows C_T and noise variances R_T. An empty T is the
+prediction alone and costs no inversion; any other T costs one |T| x |T|
+inversion, done once per drawn tree for the stack of paths that drew it.
+The two forms agree to rounding.
+
 Monte Carlo trials are seeded per trial from (seed, trial_index), so the
 output is fixed by the seed and the trial count alone, never by how the
 trials are batched or scheduled.
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import info_update
+from ._linalg import covariance_update
 from ._linalg import spd_inverse  # noqa: F401  (perfbench/tracing.py patches it here)
 from .errors import Diverged, InvalidInput, InvalidSubtree
 from .lowerbound import L_step, detectable_schedule
@@ -87,11 +94,12 @@ def _propagate(
     """
     if steps < 0 or seed < 0:
         raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
-    slabs = np.zeros((len(dist), sys.n, sys.n))  # information sum of each support tree
-    for j, (members, _) in enumerate(dist):
+    rows = []  # observation rows and noise variances of each support tree
+    for members, _ in dist:
         if not is_valid_subtree(tree, members):
             raise InvalidSubtree(f"support tree {sorted(members)} is not valid")
-        slabs[j] = sys.info_sum(indicator(members, sys.m))
+        idx = np.flatnonzero(indicator(members, sys.m))
+        rows.append((sys.C[idx], sys.r[idx]))
     keys = [seed] if trials is None else [[seed, t] for t in range(trials)]
     cum = np.cumsum(dist.probs)
     draws = np.empty((len(keys), steps), dtype=np.intp)
@@ -101,10 +109,23 @@ def _propagate(
 
     limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
     P = np.broadcast_to(sys.Sigma0, (len(keys), sys.n, sys.n)).copy()
+    M = np.empty_like(P)
     traces = np.empty(draws.shape)
     diag = np.arange(sys.n)
     for k in range(steps):
-        P = info_update(sys.A, sys.Q, P, slabs[draws[:, k]])
+        # Predict every path, M = sym(A P A^T) + Q: the whole step for the empty tree.
+        np.matmul(sys.A, P, out=M)
+        np.matmul(M, sys.A.T, out=P)
+        np.add(P, np.swapaxes(P, 1, 2), out=M)
+        M *= 0.5
+        M += sys.Q
+        P, M = M, P
+        # Update the paths of each reporting tree drawn at this step.
+        for j in np.flatnonzero(np.bincount(draws[:, k], minlength=len(dist))):
+            C_T, r_T = rows[j]
+            if len(r_T):
+                paths = draws[:, k] == j
+                P[paths] = covariance_update(P[paths], C_T, r_T)
         traces[:, k] = P[:, diag, diag].sum(axis=1)
         if traces[:, k].sum() > len(keys) * limit:
             raise Diverged(

@@ -62,6 +62,8 @@ class DiffusionConfig:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if self.budget < 0.0:
             raise InvalidBudget(f"energy budget must be nonnegative, got {self.budget!r}")
+        if self.cost_offset < 0.0:  # else an edge weight cost_offset + distance**2 can be <= 0
+            raise InvalidInput(f"cost_offset must be >= 0, got {self.cost_offset!r}")
         for name in ("process_noise", "measurement_noise", "initial_variance"):
             if getattr(self, name) <= 0.0:
                 raise NonPositiveNoise(f"{name} must be > 0, got {getattr(self, name)!r}")

@@ -336,11 +336,18 @@ TINY_EXPERIMENT = {
             "NonPositiveNoise",
             id="experiment-initial-variance-neg",
         ),
+        pytest.param(
+            "experiment",
+            {"diffusion": {"cost_offset": -50}},
+            "InvalidInput",
+            id="experiment-cost-offset-neg",
+        ),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
     """A malformed diffusion or experiment config file exits 2 with one named
-    line, and an experiment writes nothing before it has read its config."""
+    line, and an experiment writes nothing before it has read its config: no
+    trial runs, so no ``trial k skipped`` line is printed."""
     path = tmp_path / "config.json"
     if command == "experiment":
         path.write_text(json.dumps({**TINY_EXPERIMENT, **config}))

@@ -8,7 +8,9 @@ import pytest
 from oracles import grid_chain_expected_traces, scalar_fixed_point
 from treesched.errors import Diverged, InvalidInput, InvalidSubtree
 from treesched.model import LinearSystem, SensorTree, TreeDistribution
+from treesched.properties import random_system, random_tree
 from treesched.riccati import (
+    _propagate,
     asymptotic_expected_trace,
     expected_P,
     expected_trace_curve,
@@ -31,6 +33,17 @@ def unstable_case():
 
 def scalar_maps():
     return [lambda x: x + 1.0, lambda x: (x + 1.0) / (x + 2.0)]
+
+
+def multi_sensor_case(seed, n, m):
+    """A random system and tree whose support is the empty tree, a partial
+    tree (the first half of the sensors by depth) and the full tree."""
+    rng = np.random.default_rng(seed)
+    sys, tree = random_system(rng, n, m), random_tree(rng, m)
+    partial = frozenset(tree.root_first[: (m + 1) // 2])
+    full = frozenset(range(1, m + 1))
+    dist = TreeDistribution.from_pairs([(frozenset(), 0.4), (partial, 0.3), (full, 0.3)])
+    return sys, tree, dist
 
 
 class TestGT:
@@ -175,3 +188,29 @@ def test_every_estimator_stops_a_diverging_schedule(scalar_tree):
         expected_P(sys, scalar_tree, dist, step=2000, trials=50, seed=0)
     with pytest.raises(Diverged, match="at step 11;"):
         expected_trace_curve(sys, scalar_tree, dist, steps=2000, trials=50, seed=0)
+
+
+class TestPropagationKernel:
+    @pytest.mark.parametrize("seed, n, m", [(1, 3, 5), (2, 4, 2), (3, 2, 6)])
+    @pytest.mark.parametrize("trials", [None, 6])
+    def test_matches_g_T_along_the_draws(self, seed, n, m, trials):
+        """The covariance-form kernel is the information-form map g_T of the
+        tree each path drew, step by step, to rounding."""
+        sys, tree, dist = multi_sensor_case(seed, n, m)
+        draws, traces, P = _propagate(sys, tree, dist, 30, seed, trials)
+        assert set(draws.ravel().tolist()) == {0, 1, 2}
+        for t in range(draws.shape[0]):
+            X = np.array(sys.Sigma0)
+            for k, j in enumerate(draws[t]):
+                X = g_T(sys, X, dist.trees[j])
+                assert traces[t, k] == pytest.approx(np.trace(X), rel=1e-12)
+            np.testing.assert_allclose(P[t], X, rtol=1e-12, atol=1e-12 * np.abs(X).max())
+
+    def test_batch_prefix_is_bit_identical(self):
+        """Trial t's path depends on (seed, t) alone: the first 13 paths of a
+        200-path batch are the 13-path batch, bit for bit."""
+        sys, tree, dist = multi_sensor_case(4, 5, 7)
+        big = _propagate(sys, tree, dist, 40, 11, 200)
+        small = _propagate(sys, tree, dist, 40, 11, 13)
+        for a, b in zip(big, small):
+            assert np.array_equal(a[:13], b)

@@ -51,6 +51,7 @@ class TestConfig:
             ("measurement_noise", 0.0, NonPositiveNoise),
             ("initial_variance", -4.0, NonPositiveNoise),
             ("cost_offset", float("nan"), InvalidInput),
+            ("cost_offset", -50.0, InvalidInput),
         ],
     )
     def test_domain_checked_at_construction(self, field, value, error):
