@@ -45,26 +45,42 @@ def detectable_schedule(sys: LinearSystem, p) -> bool:
     return pbh_observable(sys.A, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
 
 
-def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
-    """Iterate L(., p) from X0 to its fixed point.
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, with the bits of np.linalg.norm(M[b], "fro")."""
+    rows = M.reshape(len(M), 1, M.shape[-1] * M.shape[-2])
+    return np.sqrt(rows @ np.swapaxes(rows, -1, -2))[:, 0, 0]
 
-    Detectability of (C_p, A) is checked first; an undetectable schedule
-    raises Diverged without iterating. Convergence is declared when the
-    Frobenius change falls below FIXED_POINT_TOL * (1 + ||L||_F); hitting
-    the cap of FIXED_POINT_MAX_ITER iterations raises MaxIterations
-    (near-marginal detectability).
+
+def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
+    """Iterate L(., p) from X0 to its fixed point, for one schedule or a stack.
+
+    p of shape (m,) gives the (n, n) fixed point; a stack of shape (B, m)
+    gives (B, n, n), every row checked as ``as_marginals`` checks one
+    schedule. Detectability of each (C_p, A) is checked first; an
+    undetectable row raises Diverged without iterating. Every row starts
+    from X0 and leaves the stack when its Frobenius change falls below
+    FIXED_POINT_TOL * (1 + ||L||_F), so a row's fixed point has the bits it
+    has when iterated alone. Hitting the cap of FIXED_POINT_MAX_ITER
+    iterations raises MaxIterations (near-marginal detectability).
     """
-    p = as_marginals(p, sys.m)
-    if not detectable_schedule(sys, p):
+    stacked = np.ndim(p) == 2
+    rows = [as_marginals(w, sys.m) for w in (p if stacked else [p])]
+    if not all(detectable_schedule(sys, w) for w in rows):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
-    info_sum = sys.info_sum(p)
-    L = symmetrize(as_covariance(sys, X0))
+    # one info_sum per row: a (B, m) tensordot need not give the (m,) bits
+    info = np.array([sys.info_sum(w) for w in rows]).reshape(-1, sys.n, sys.n)
+    L = np.repeat(symmetrize(as_covariance(sys, X0))[None], len(rows), axis=0)
+    out = np.empty_like(L)
+    live = np.arange(len(rows))  # the rows of out that L and info still iterate
     for _ in range(FIXED_POINT_MAX_ITER):
-        L_next = info_update(sys.A, sys.Q, L, info_sum)
-        gap = np.linalg.norm(L_next - L, "fro")
+        L_next = info_update(sys.A, sys.Q, L, info)
+        done = _frobenius(L_next - L) <= FIXED_POINT_TOL * (1.0 + _frobenius(L_next))
+        if done.any():
+            out[live[done]] = L_next[done]
+            live, L_next, info = live[~done], L_next[~done], info[~done]
+        if not live.size:
+            return out if stacked else out[0]
         L = L_next
-        if gap <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L, "fro")):
-            return L
     raise MaxIterations(
         f"no fixed point within {FIXED_POINT_MAX_ITER} iterations at tolerance {FIXED_POINT_TOL:g}"
     )

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: fixed
 points come from the scalar quadratic, expectations from propagating a
-discretized value distribution, optima from brute-force grid search, and
-spanning trees from exhaustive edge-subset enumeration.
+discretized value distribution, optima from brute-force grid search,
+spanning trees from exhaustive edge-subset enumeration, and baseline rows
+from one single-schedule ``L_infinity`` call per candidate instead of the
+stacked blocks of ``best_deterministic``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ import itertools
 import math
 
 import numpy as np
+
+from treesched.baseline import enumerate_subtrees
+from treesched.errors import Diverged
+from treesched.lowerbound import L_infinity
+from treesched.model import indicator, tree_energy
+from treesched.properties import random_system, random_tree
 
 
 def scalar_fixed_point(a: float, q: float, c: float, r: float, s: float) -> float:
@@ -256,3 +264,29 @@ def kalman_observable(A: np.ndarray, C: np.ndarray) -> bool:
     blocks = [C @ np.linalg.matrix_power(A, k) for k in range(n)]
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
     return s[0] > 0.0 and int(np.sum(s > 1e-10 * s[0])) == n
+
+
+def criterion2_instance(k: int):
+    """(system, tree, budget) of instance k of acceptance criterion 2, drawn
+    from default_rng(2024) exactly as the criterion draws it."""
+    rng = np.random.default_rng(2024)
+    for _ in range(k + 1):
+        n = int(rng.integers(1, 17))
+        m = int(rng.integers(1, 17))
+        sys = random_system(rng, n, m)
+        tree = random_tree(rng, m)
+        budget = float(rng.uniform(0.2, 0.9)) * float(tree.cost.sum())
+    return sys, tree, budget
+
+
+def per_candidate_rows(sys, tree, budget) -> tuple:
+    """``best_deterministic``'s candidate rows, one ``L_infinity`` call per
+    affordable subtree; an undetectable one gets trace None."""
+    rows = []
+    for members in enumerate_subtrees(tree, budget):
+        try:
+            tr = float(np.trace(L_infinity(sys, sys.Sigma0, indicator(members, sys.m))))
+        except Diverged:
+            tr = None
+        rows.append((tuple(sorted(members)), tree_energy(tree, members), tr))
+    return tuple(rows)

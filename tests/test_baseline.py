@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import criterion2_instance, per_candidate_rows
 from treesched.baseline import (
     best_deterministic,
     count_subtrees,
@@ -89,3 +90,15 @@ class TestBestDeterministic:
 
     def test_property_version(self):
         check_baseline_matches_direct_iteration(seed=5)
+
+    # Criterion-2 instance 8 has 157 detectable candidates (4 blocks of 32
+    # and one of 29); instance 9 has 161 and one undetectable candidate.
+    @pytest.mark.parametrize("k, undetectable", [(8, 0), (9, 1)])
+    def test_blocks_give_per_candidate_rows(self, k, undetectable):
+        sys, tree, budget = criterion2_instance(k)
+        result = best_deterministic(sys, tree, budget)
+        expected = per_candidate_rows(sys, tree, budget)
+        assert result.candidates == expected
+        assert sum(tr is None for _, _, tr in expected) == undetectable
+        tr, energy, members = min((tr, e, mem) for mem, e, tr in expected if tr is not None)
+        assert (result.trace, result.energy, result.members) == (tr, energy, frozenset(members))

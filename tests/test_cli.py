@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import criterion2_instance, per_candidate_rows
 import treesched.cli as cli
 from treesched.cli import main
 from treesched.model import LinearSystem, SensorTree, save_model
@@ -263,6 +266,23 @@ class TestBaselineDiffusion:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tree_members,energy,trace_P_inf"
         assert len(lines) == 3  # empty tree (divergent) + the single sensor
+
+    def test_candidates_csv_bytes_match_per_candidate_rows(self, tmp_path, capsys):
+        # criterion-2 instance 12: 14 candidates, the empty tree undetectable
+        sys_, tree, budget = criterion2_instance(12)
+        model, out = tmp_path / "model.json", tmp_path / "candidates.csv"
+        save_model(model, sys_, tree)
+        assert main(["baseline", str(model), "--budget", repr(budget), "--out", str(out)]) == 0
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["tree_members", "energy", "trace_P_inf"])
+        rows = per_candidate_rows(sys_, tree, budget)
+        writer.writerows(
+            [";".join(map(str, members)), cli._fmt(energy), "" if tr is None else cli._fmt(tr)]
+            for members, energy, tr in rows
+        )
+        assert any(tr is None for _, _, tr in rows)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_diffusion_generates_model(self, tmp_path, capsys):
         model = tmp_path / "diff.json"

@@ -4,6 +4,7 @@ argument raise a named SchedulingError; membership predicates answer False."""
 import math
 
 import numpy as np
+import pytest
 
 from treesched import (
     FeasibleSet,
@@ -22,7 +23,7 @@ from treesched import (
     simulate_run,
     solve_descent_subproblem,
 )
-from treesched.errors import SchedulingError
+from treesched.errors import DimensionMismatch, InvalidInput, SchedulingError
 
 ARRAYS = dict(A=0.9 * np.eye(2), Q=np.eye(2), C=np.eye(2), r=np.ones(2), Sigma0=np.eye(2))
 SYSTEM = LinearSystem(**ARRAYS)
@@ -77,6 +78,25 @@ def test_public_array_arguments_raise_named_errors():
             else:
                 failures.append(f"{name} {label}: accepted")
     assert not failures, "\n".join(failures)
+
+
+STACK = np.array([P, [1.0, 0.25], P])
+
+
+@pytest.mark.parametrize("row", range(len(STACK)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+def test_L_infinity_stack_checks_every_row(bad, row):
+    rows = STACK.copy()
+    rows[row, 1] = bad
+    with pytest.raises(InvalidInput):
+        L_infinity(SYSTEM, np.eye(2), rows)
+
+
+def test_L_infinity_stack_width_is_m():
+    assert L_infinity(SYSTEM, np.eye(2), STACK).shape == (3, 2, 2)
+    for wrong_m in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            L_infinity(SYSTEM, np.eye(2), np.full((3, wrong_m), 0.5))
 
 
 def test_membership_predicates_answer_false():

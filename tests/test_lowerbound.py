@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import scalar_fixed_point
-from treesched.errors import Diverged
+from treesched import lowerbound
+from treesched._linalg import info_update, symmetrize
+from treesched.errors import Diverged, MaxIterations
 from treesched.lowerbound import L_infinity, L_step, bound_sequence, detectable_schedule
 from treesched.model import LinearSystem
 from treesched.properties import (
@@ -53,11 +55,11 @@ class TestLInfinity:
         assert fp[0, 0] == pytest.approx(1.0 / (1.0 - 0.25), abs=1e-9)
 
     def test_iteration_cap_raises(self, scalar_system, monkeypatch):
-        from treesched.errors import MaxIterations
-
         monkeypatch.setattr("treesched.lowerbound.FIXED_POINT_MAX_ITER", 3)
         with pytest.raises(MaxIterations):
             L_infinity(scalar_system, [[50.0]], [1.0])
+        with pytest.raises(MaxIterations):
+            L_infinity(scalar_system, [[50.0]], [[1.0], [0.5]])
 
     def test_limit_independent_of_start_random_4x4(self, rng):
         for k in range(20):
@@ -67,6 +69,69 @@ class TestLInfinity:
             hi = L_infinity(sys, 100.0 * np.eye(4), p)
             gap = np.linalg.norm(lo - hi, "fro") / np.linalg.norm(lo, "fro")
             assert gap <= 1e-8, f"instance {k}: relative gap {gap:g}"
+
+
+def plain_iteration(sys, X0, p):
+    """The fixed-point loop on one (n, n) matrix, with no stack around it."""
+    info_sum = sys.info_sum(p)
+    L = symmetrize(np.asarray(X0, dtype=float))
+    for _ in range(lowerbound.FIXED_POINT_MAX_ITER):
+        L_next = info_update(sys.A, sys.Q, L, info_sum)
+        gap = np.linalg.norm(L_next - L, "fro")
+        L = L_next
+        if gap <= lowerbound.FIXED_POINT_TOL * (1.0 + np.linalg.norm(L, "fro")):
+            return L
+    raise AssertionError("plain iteration did not converge")
+
+
+class TestLInfinityStack:
+    STARTS = ("Sigma0", "zero", "100I")
+
+    @staticmethod
+    def start(sys, which):
+        return {"Sigma0": sys.Sigma0, "zero": np.zeros((sys.n, sys.n)), "100I": 100.0 * np.eye(sys.n)}[which]
+
+    @staticmethod
+    def schedules(rng, sys, rows):
+        """Detectable rows with weights scaled from 0.01 to 1, so that they
+        need very different numbers of steps."""
+        P = rng.uniform(0.0, 1.0, (rows, sys.m)) * np.geomspace(0.01, 1.0, rows)[:, None]
+        return P[[detectable_schedule(sys, w) for w in P]]
+
+    @pytest.mark.parametrize("which", STARTS)
+    def test_stack_rows_equal_single_calls(self, rng, monkeypatch, which):
+        sizes = []
+
+        def recording_update(A, Q, X, info_sum):
+            sizes.append(len(X))
+            return info_update(A, Q, X, info_sum)
+
+        for k in range(6):
+            sys = random_system(rng, 4, int(rng.integers(1, 5)))
+            P, X0 = self.schedules(rng, sys, 16), self.start(sys, which)
+            monkeypatch.setattr(lowerbound, "info_update", recording_update)
+            sizes.clear()
+            stack = L_infinity(sys, X0, P)
+            monkeypatch.undo()
+            assert stack.shape == (len(P), 4, 4)
+            assert len(set(sizes)) >= 3, f"instance {k}: rows left the stack at {set(sizes)} sizes only"
+            for b, w in enumerate(P):
+                assert np.array_equal(stack[b], L_infinity(sys, X0, w)), f"instance {k} row {b}"
+
+    @pytest.mark.parametrize("which", STARTS)
+    def test_single_schedule_equals_plain_iteration(self, rng, which):
+        for k in range(6):
+            sys = random_system(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+            X0 = self.start(sys, which)
+            for w in self.schedules(rng, sys, 4):
+                assert np.array_equal(L_infinity(sys, X0, w), plain_iteration(sys, X0, w)), f"instance {k}"
+
+    def test_one_undetectable_row_raises(self, scalar_system):
+        with pytest.raises(Diverged):
+            L_infinity(scalar_system, [[1.0]], [[1.0], [0.5], [0.0], [0.9]])
+
+    def test_empty_stack(self, scalar_system):
+        assert L_infinity(scalar_system, [[1.0]], np.zeros((0, 1))).shape == (0, 1, 1)
 
 
 class TestBoundSequence:
