@@ -1,16 +1,14 @@
 """Symmetric positive-definite linear algebra helpers.
 
-A covariance step is a prediction A X A^T + Q followed by a measurement
-update, in one of two equivalent forms. The lower-bound map and the Riccati
-map g_T use ``info_update`` (information form), which takes fractional
-sensor weights. Monte Carlo paths and sample paths use
-``covariance_update`` (covariance form), which inverts only the innovation
-covariance of the reporting sensors, so a step with no report costs no
-inversion at all. The same two numerical policies apply to both. Products
-A X A^T, C X C^T, inverses and ``LinearSystem.info_sum`` are symmetrized
-where they are formed; a sum of exactly symmetric arrays is exact and is
-left alone. Inversions raise ``SingularMatrix`` on a failed Cholesky, never
-regularizing.
+A covariance step is a prediction M = A X A^T + Q followed by a measurement
+update, and the package has one form of each: ``predict`` and
+``covariance_update``. The update inverts only the innovation covariance of
+the observation rows it is given, so rows scaled by sqrt(p_i) give the
+lower-bound map with fractional sensor weights, and a Monte Carlo step with
+no report is the prediction alone. Products A X A^T, C X C^T, inverses and
+``LinearSystem.info_sum`` are symmetrized where they are formed; a sum of
+exactly symmetric arrays is exact and is left alone. Inversions raise
+``SingularMatrix`` on a failed Cholesky, never regularizing.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ UNIT_CIRCLE_MARGIN = 1e-9
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2, batched over leading axes."""
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def spd_inverse(M: np.ndarray) -> np.ndarray:
@@ -61,16 +59,16 @@ def matrix_rank(M: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def pbh_observable(A: np.ndarray, C: np.ndarray, min_modulus: float) -> bool:
-    """PBH test: every eigenvalue lambda of A with |lambda| >= min_modulus
-    must be observable through C, i.e. rank [lambda*I - A; C] = n.
+def pbh_observable(A: np.ndarray, eigs: np.ndarray, C: np.ndarray, min_modulus: float) -> bool:
+    """PBH test: every eigenvalue lambda of A (given as ``eigs``) with
+    |lambda| >= min_modulus must be observable through C, i.e.
+    rank [lambda*I - A; C] = n.
 
     min_modulus 0 tests observability of (C, A), 1 - UNIT_CIRCLE_MARGIN
     detectability. Robust to exactly-zero rows in C, which is why it is
     preferred over a Gramian test for schedules with p_i = 0.
     """
     n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
     for lam in eigs:
         if abs(lam) < min_modulus:
             continue
@@ -80,19 +78,9 @@ def pbh_observable(A: np.ndarray, C: np.ndarray, min_modulus: float) -> bool:
     return True
 
 
-def info_update(
-    A: np.ndarray, Q: np.ndarray, X: np.ndarray, info_sum: np.ndarray
-) -> np.ndarray:
-    """One information-form covariance step:
-
-        [(A X A^T + Q)^{-1} + info_sum]^{-1}
-
-    where info_sum is the accumulated C_i^T C_i / r_i contribution of the
-    reporting sensors. Works on a single matrix or a stack of X's (with a
-    matching stack of info_sum's).
-    """
-    Z = spd_inverse(symmetrize(A @ X @ A.T) + Q)
-    return spd_inverse(Z + info_sum)
+def predict(A: np.ndarray, Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The prediction sym(A X A^T) + Q of a covariance X or of a stack of them."""
+    return symmetrize(A @ X @ A.T) + Q
 
 
 def covariance_update(M: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -103,8 +91,9 @@ def covariance_update(M: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.ndarray
     for observation rows C (q x n) with independent noise variances r. It
     equals the information form [M^{-1} + C^T diag(r)^{-1} C]^{-1} with one
     q x q inversion instead of two n x n ones. Works on a single M or a
-    stack of them; raises SingularMatrix when S is not positive definite.
+    stack of them, with one C for all or a matching stack of row sets;
+    raises SingularMatrix when S is not positive definite.
     """
-    MC = M @ C.T
+    MC = M @ C.swapaxes(-1, -2)
     S = symmetrize(C @ MC) + np.diag(r)
-    return symmetrize(M - MC @ spd_inverse(S) @ np.swapaxes(MC, -1, -2))
+    return symmetrize(M - MC @ spd_inverse(S) @ MC.swapaxes(-1, -2))

@@ -168,6 +168,8 @@ def _experiment_settings(doc) -> SimpleNamespace:
         ints[name] = as_integer(value, name)
         if ints[name] < low:
             raise InvalidInput(f"{name} must be >= {low}, got {value!r}")
+    if ints["seed"] + ints["trials"] > 2**64:
+        raise InvalidInput(f"need seed + trials <= 2**64, got {ints['seed']} + {ints['trials']}")
     if ints["burn_in"] >= ints["horizon"]:
         raise InvalidInput(f"need burn_in < horizon, got {ints['burn_in']} >= {ints['horizon']}")
     return SimpleNamespace(**ints, diffusion=config_from_dict(doc.get("diffusion", {})))

@@ -6,16 +6,19 @@ gives the recursion
     L(X, p) = [(A X A^T + Q)^{-1} + sum_i p_i C_i^T C_i / r_i]^{-1},
 
 whose iterates bound E[P_k] from below for any schedule with marginals p.
-The map is convex in p, concave and monotone in X, and for a detectable
-weighted pair (C_p, A) with C_p stacking sqrt(p_i) C_i the iteration has a
-unique fixed point independent of the starting covariance.
+It is the Kalman filter's Riccati step for the weighted rows C_p, which
+stack sqrt(p_i) C_i, so it runs as the covariance-form update that Monte
+Carlo runs: one prediction, then one m x m innovation inverse. The map is
+convex in p, concave and monotone in X, and for a detectable pair (C_p, A)
+the iteration has a unique fixed point independent of the starting
+covariance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import UNIT_CIRCLE_MARGIN, info_update, pbh_observable, symmetrize
+from ._linalg import UNIT_CIRCLE_MARGIN, covariance_update, pbh_observable, predict, symmetrize
 from .errors import DimensionMismatch, Diverged, InvalidInput, MaxIterations
 from .model import LinearSystem, as_marginals
 
@@ -35,20 +38,14 @@ def as_covariance(sys: LinearSystem, X) -> np.ndarray:
 
 def L_step(sys: LinearSystem, X: np.ndarray, p) -> np.ndarray:
     """One application of the mean-selection covariance map."""
-    p = as_marginals(p, sys.m)
-    return info_update(sys.A, sys.Q, as_covariance(sys, X), sys.info_sum(p))
+    rows = np.sqrt(as_marginals(p, sys.m))[:, None] * sys.C
+    return covariance_update(predict(sys.A, sys.Q, as_covariance(sys, X)), rows, sys.r)
 
 
 def detectable_schedule(sys: LinearSystem, p) -> bool:
     """PBH detectability of the mean-weighted pair (C_p, A), C_p with rows sqrt(p_i) C_i."""
     p = as_marginals(p, sys.m)
-    return pbh_observable(sys.A, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
-
-
-def _frobenius(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack, with the bits of np.linalg.norm(M[b], "fro")."""
-    rows = M.reshape(len(M), 1, M.shape[-1] * M.shape[-2])
-    return np.sqrt(rows @ np.swapaxes(rows, -1, -2))[:, 0, 0]
+    return pbh_observable(sys.A, sys.eigvals, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
 
 
 def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
@@ -67,17 +64,17 @@ def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
     rows = [as_marginals(w, sys.m) for w in (p if stacked else [p])]
     if not all(detectable_schedule(sys, w) for w in rows):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
-    # one info_sum per row: a (B, m) tensordot need not give the (m,) bits
-    info = np.array([sys.info_sum(w) for w in rows]).reshape(-1, sys.n, sys.n)
+    C = np.sqrt(np.reshape(rows, (-1, sys.m)))[:, :, None] * sys.C  # (B, m, n) weighted rows
     L = np.repeat(symmetrize(as_covariance(sys, X0))[None], len(rows), axis=0)
     out = np.empty_like(L)
-    live = np.arange(len(rows))  # the rows of out that L and info still iterate
+    live = np.arange(len(rows))  # the rows of out that L and C still iterate
     for _ in range(FIXED_POINT_MAX_ITER):
-        L_next = info_update(sys.A, sys.Q, L, info)
-        done = _frobenius(L_next - L) <= FIXED_POINT_TOL * (1.0 + _frobenius(L_next))
+        L_next = covariance_update(predict(sys.A, sys.Q, L), C, sys.r)
+        step = np.linalg.norm(L_next - L, axis=(1, 2))
+        done = step <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L_next, axis=(1, 2)))
         if done.any():
             out[live[done]] = L_next[done]
-            live, L_next, info = live[~done], L_next[~done], info[~done]
+            live, L_next, C = live[~done], L_next[~done], C[~done]
         if not live.size:
             return out if stacked else out[0]
         L = L_next

@@ -109,8 +109,10 @@ class LinearSystem:
     variances (R is diagonal), Sigma0 the initial state covariance. Row i
     of C is the observation row of sensor i; its information contribution
     is the rank-one matrix C_i^T C_i / r_i, and ``info`` stacks these
-    increments, shape (m, n, n). Non-finite entries raise InvalidInput, and
-    a Q or Sigma0 not symmetric PD or an r_i <= 0 raises NonPositiveNoise.
+    increments, shape (m, n, n); ``eigvals`` holds the eigenvalues of A for
+    the PBH tests. Both are computed once, read-only. Non-finite entries
+    raise InvalidInput, and a Q or Sigma0 not symmetric PD or an r_i <= 0
+    raises NonPositiveNoise.
     """
 
     A: np.ndarray
@@ -119,6 +121,7 @@ class LinearSystem:
     r: np.ndarray
     Sigma0: np.ndarray
     info: np.ndarray = field(init=False, repr=False)
+    eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen_array(_numbers("A", self.A))
@@ -149,6 +152,7 @@ class LinearSystem:
             raise NonPositiveNoise(f"r must be > 0 (measurement-noise variances), got min {r.min()}")
         scaled = C / np.sqrt(r)[:, None]
         object.__setattr__(self, "info", _frozen_array(np.einsum("ij,ik->ijk", scaled, scaled)))
+        object.__setattr__(self, "eigvals", _frozen_array(np.linalg.eigvals(A), dtype=None))
 
     @property
     def n(self) -> int:
@@ -172,7 +176,7 @@ def validate_system(sys: LinearSystem) -> None:
     """Raise NotObservable unless the PBH rank test passes at every eigenvalue
     of A, singular values cut at 1e-10 relative (LinearSystem checks the
     rest when built)."""
-    if not pbh_observable(sys.A, sys.C, 0.0):
+    if not pbh_observable(sys.A, sys.eigvals, sys.C, 0.0):
         raise NotObservable("(C, A) is not observable")
 
 

@@ -166,12 +166,13 @@ def simulate_run(
     With ordering-feasible p the per-sensor selection frequencies converge
     to p and the mean energy to sum_i c_i p_i. An optional
     ``on_round(k, outcome)`` is called after each round with its number k,
-    counting from 1, and its RoundOutcome. A negative round count or seed
-    raises InvalidInput, and marginals with a child above its parent raise
+    counting from 1, and its RoundOutcome. A negative round count, or a
+    seed outside the generator's 64-bit state [0, 2**64), raises
+    InvalidInput, and marginals with a child above its parent raise
     OrderingViolated before any round runs.
     """
-    if rounds < 0 or seed < 0:
-        raise InvalidInput(f"rounds and seed must be >= 0, got rounds={rounds}, seed={seed}")
+    if rounds < 0 or not 0 <= seed <= _MASK64:
+        raise InvalidInput(f"need rounds >= 0 and 0 <= seed < 2**64, got rounds={rounds}, seed={seed}")
     nodes = build_nodes(tree, realizable_marginals(tree, p), seed)
     energy_sum = 0.0
     tree_counts: dict = {}

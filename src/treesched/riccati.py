@@ -4,18 +4,19 @@ The one-step map for a reporting tree T is
 
     g_T(X) = [(A X A^T + Q)^{-1} + sum_{i in T} C_i^T C_i / r_i]^{-1},
 
-i.e. one covariance prediction followed by the information-form update of
-the sensors that reached the fusion center. When T is drawn at random each
+i.e. one covariance prediction followed by the measurement update of the
+sensors that reached the fusion center. When T is drawn at random each
 step the error covariance P_k becomes a random matrix; this module provides
 the map itself, single sample paths, and batched Monte Carlo estimates of
 E[P_k] and of the asymptotic expected trace.
 
-Sample paths and Monte Carlo apply the same map in covariance form: predict
+Every step runs in covariance form (``_linalg.covariance_update``): predict
 M = A X A^T + Q, then update M - M C_T^T (C_T M C_T^T + R_T)^{-1} C_T M
-with T's observation rows C_T and noise variances R_T. An empty T is the
-prediction alone and costs no inversion; any other T costs one |T| x |T|
-inversion, done once per drawn tree for the stack of paths that drew it.
-The two forms agree to rounding.
+with T's observation rows C_T and noise variances R_T. ``g_T`` is the
+lower-bound step at T's 0/1 weights. Sample paths and Monte Carlo keep
+only T's own rows: an empty T is the prediction alone and costs no
+inversion, and any other T costs one |T| x |T| inversion, done once per
+drawn tree for the stack of paths that drew it.
 
 Monte Carlo trials are seeded per trial from (seed, trial_index), so the
 output is fixed by the seed and the trial count alone, never by how the

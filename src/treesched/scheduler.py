@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky_or_none, spd_inverse, symmetrize
+from ._linalg import cholesky_or_none, predict, spd_inverse, symmetrize
 from .errors import Diverged, InitialDiverged, InvalidInput, SolverStalled
 from .lowerbound import L_infinity, L_step, as_covariance
 from .model import LinearSystem, validate_system
@@ -86,7 +86,7 @@ def solve_descent_subproblem(
     """
     n, m = sys.n, sys.m
     L_prev = symmetrize(as_covariance(sys, L_prev))
-    W = spd_inverse(symmetrize(sys.A @ L_prev @ sys.A.T) + sys.Q)
+    W = spd_inverse(predict(sys.A, sys.Q, L_prev))
     Linv_prev = spd_inverse(L_prev)
     Ct = sys.C.T  # (n, m)
     eye = np.eye(n)

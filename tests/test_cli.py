@@ -141,6 +141,13 @@ class TestOptimize:
                 "simulate", {}, ["--p", "0.5", "--seed", "-1"], "InvalidInput", id="simulate-seed-neg"
             ),
             pytest.param(
+                "simulate",
+                {},
+                ["--p", "0.5", "--seed", str(2**64), "--out", "log.csv"],
+                "InvalidInput",
+                id="simulate-seed-2**64-out",
+            ),
+            pytest.param(
                 "baseline", {"A": [[True]]}, ["--budget", "1"], "InvalidInput", id="baseline-A-bool"
             ),
             pytest.param(
@@ -325,6 +332,10 @@ TINY_EXPERIMENT = {
         pytest.param("diffusion", {"side_length": "abc"}, "InvalidInput", id="diffusion-side-length-abc"),
         pytest.param("diffusion", {"seed": -1}, "InvalidInput", id="diffusion-seed-neg"),
         pytest.param("experiment", {"trials": 1.7}, "InvalidInput", id="experiment-trials-1.7"),
+        pytest.param("experiment", {"seed": 2**64}, "InvalidInput", id="experiment-seed-2**64"),
+        pytest.param(
+            "experiment", {"seed": 2**64 - 1, "trials": 2}, "InvalidInput", id="experiment-last-seed-2**64"
+        ),
         pytest.param("experiment", {"diffusion": [1]}, "InvalidInput", id="experiment-diffusion-list"),
         pytest.param("diffusion", {"grid_spacing": 0}, "InvalidInput", id="diffusion-grid-spacing-0"),
         pytest.param(

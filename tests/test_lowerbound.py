@@ -7,7 +7,7 @@ import pytest
 
 from oracles import scalar_fixed_point
 from treesched import lowerbound
-from treesched._linalg import info_update, symmetrize
+from treesched._linalg import covariance_update, predict, symmetrize
 from treesched.errors import Diverged, MaxIterations
 from treesched.lowerbound import L_infinity, L_step, bound_sequence, detectable_schedule
 from treesched.model import LinearSystem
@@ -73,15 +73,54 @@ class TestLInfinity:
 
 def plain_iteration(sys, X0, p):
     """The fixed-point loop on one (n, n) matrix, with no stack around it."""
-    info_sum = sys.info_sum(p)
+    C = np.sqrt(p)[:, None] * sys.C
     L = symmetrize(np.asarray(X0, dtype=float))
     for _ in range(lowerbound.FIXED_POINT_MAX_ITER):
-        L_next = info_update(sys.A, sys.Q, L, info_sum)
+        L_next = covariance_update(predict(sys.A, sys.Q, L), C, sys.r)
         gap = np.linalg.norm(L_next - L, "fro")
         L = L_next
         if gap <= lowerbound.FIXED_POINT_TOL * (1.0 + np.linalg.norm(L, "fro")):
             return L
     raise AssertionError("plain iteration did not converge")
+
+
+def information_step(sys, X, p):
+    """The textbook information form of the mean map, apart from the package's
+    kernels: inv(inv(A X A^T + Q) + sum_i p_i c_i^T c_i / r_i)."""
+    info = sum(w * np.outer(c, c) / r for w, c, r in zip(p, sys.C, sys.r))
+    return np.linalg.inv(np.linalg.inv(sys.A @ X @ sys.A.T + sys.Q) + info)
+
+
+class TestInformationFormOracle:
+    @staticmethod
+    def weights(rng, m):
+        """Fractional weights with at least one exact 0 and one exact 1 when m >= 2."""
+        p = rng.uniform(0.0, 1.0, m)
+        p[rng.permutation(m)[:2]] = [0.0, 1.0][:m]
+        return p
+
+    def test_L_step_matches_information_form(self, rng):
+        for k in range(60):
+            n, m = (int(v) for v in rng.integers(1, 9, 2))
+            sys = random_system(rng, n, m)
+            p = self.weights(rng, m)
+            for X in (sys.Sigma0, np.zeros((n, n)), 10.0 * np.eye(n)):
+                got, want = L_step(sys, X, p), information_step(sys, np.asarray(X), p)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err <= 1e-12, f"instance {k} (n={n}, m={m}): relative error {err:g}"
+
+    def test_fixed_point_of_information_form(self, rng):
+        checked = 0
+        while checked < 30:
+            n, m = (int(v) for v in rng.integers(1, 9, 2))
+            sys = random_system(rng, n, m)
+            p = self.weights(rng, m)
+            if not detectable_schedule(sys, p):
+                continue
+            L = L_infinity(sys, sys.Sigma0, p)
+            err = np.linalg.norm(information_step(sys, L, p) - L) / np.linalg.norm(L)
+            assert err <= 1e-9, f"n={n}, m={m}: fixed-point residual {err:g}"
+            checked += 1
 
 
 class TestLInfinityStack:
@@ -102,14 +141,14 @@ class TestLInfinityStack:
     def test_stack_rows_equal_single_calls(self, rng, monkeypatch, which):
         sizes = []
 
-        def recording_update(A, Q, X, info_sum):
-            sizes.append(len(X))
-            return info_update(A, Q, X, info_sum)
+        def recording_update(M, C, r):
+            sizes.append(len(M))
+            return covariance_update(M, C, r)
 
         for k in range(6):
             sys = random_system(rng, 4, int(rng.integers(1, 5)))
             P, X0 = self.schedules(rng, sys, 16), self.start(sys, which)
-            monkeypatch.setattr(lowerbound, "info_update", recording_update)
+            monkeypatch.setattr(lowerbound, "covariance_update", recording_update)
             sizes.clear()
             stack = L_infinity(sys, X0, P)
             monkeypatch.undo()

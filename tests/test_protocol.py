@@ -185,6 +185,14 @@ class TestSimulateRun:
         with pytest.raises(InvalidInput):
             simulate_run(SensorTree(parent=[0], cost=[1.0]), [0.5], seed=-1, rounds=5)
 
+    def test_seed_beyond_64_bits_rejected(self):
+        """The generator state has 64 bits: 2**64 - 1 runs, and 2**64 would
+        alias seed 0, so it is rejected."""
+        tree = SensorTree(parent=[0], cost=[1.0])
+        assert simulate_run(tree, [0.5], seed=2**64 - 1, rounds=5).rounds == 5
+        with pytest.raises(InvalidInput):
+            simulate_run(tree, [0.5], seed=2**64, rounds=5)
+
     def test_unrealizable_marginals_rejected_before_any_round(self):
         tree = SensorTree(parent=[0, 1], cost=[1.0, 1.0])
         seen = []

@@ -194,8 +194,9 @@ class TestPropagationKernel:
     @pytest.mark.parametrize("seed, n, m", [(1, 3, 5), (2, 4, 2), (3, 2, 6)])
     @pytest.mark.parametrize("trials", [None, 6])
     def test_matches_g_T_along_the_draws(self, seed, n, m, trials):
-        """The covariance-form kernel is the information-form map g_T of the
-        tree each path drew, step by step, to rounding."""
+        """The Monte Carlo kernel, which updates with the drawn tree's own
+        rows, is g_T, which updates with all m rows at 0/1 weights, along the
+        draws of each path, step by step, to rounding."""
         sys, tree, dist = multi_sensor_case(seed, n, m)
         draws, traces, P = _propagate(sys, tree, dist, 30, seed, trials)
         assert set(draws.ravel().tolist()) == {0, 1, 2}
