@@ -5,8 +5,9 @@ update, and the package has one form of each: ``predict`` and
 ``covariance_update``. The update inverts only the innovation covariance of
 the observation rows it is given, so rows scaled by sqrt(p_i) give the
 lower-bound map with fractional sensor weights, and a Monte Carlo step with
-no report is the prediction alone. Products A X A^T, C X C^T, inverses and
-``LinearSystem.info_sum`` are symmetrized where they are formed; a sum of
+no report is the prediction alone. Every matrix inverse in the package is
+``spd_inverse``. Products A X A^T, C X C^T, inverses and weighted sums of
+information increments are symmetrized where they are formed; a sum of
 exactly symmetric arrays is exact and is left alone. Inversions raise
 ``SingularMatrix`` on a failed Cholesky, never regularizing.
 """
@@ -43,14 +44,6 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
             "matrix is not positive definite within floating-point tolerance"
         ) from exc
     return symmetrize(np.linalg.inv(M))
-
-
-def cholesky_or_none(M: np.ndarray):
-    """Cholesky factor of M, or None when M is not positive definite."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def matrix_rank(M: np.ndarray) -> int:

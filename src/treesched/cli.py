@@ -1,7 +1,8 @@
 """Command-line driver: optimization, simulation, and the benchmark study.
 
-Exit codes: 0 success, 2 infeasible or divergent problem or malformed,
-non-finite or out-of-range input, 3 file errors, 4 property-suite failure.
+Exit codes: 0 success, 2 infeasible or divergent problem, malformed,
+non-finite or out-of-range input, or a problem too large for memory,
+3 file errors, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -325,8 +326,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchedulingError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+    except (SchedulingError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=_sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, json.JSONDecodeError) as exc:
         print(f"file error: {exc}", file=_sys.stderr)

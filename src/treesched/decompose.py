@@ -5,8 +5,9 @@ level yields a chain of nested member sets; giving each set the gap
 between consecutive sorted values produces a distribution whose marginals
 are exactly the input. The construction needs the parent-ordering
 condition (child never above parent), which also guarantees every prefix
-of the sort is a valid transmission subtree. Ties are broken ancestors
-first (by depth), then by index, which keeps prefixes parent-closed.
+of the sort is a valid transmission subtree. Ties are broken in the tree's
+root-first order (by depth, then index), which keeps prefixes
+parent-closed.
 """
 
 from __future__ import annotations
@@ -19,16 +20,22 @@ from .polytope import ordering_violation
 
 
 def realizable_marginals(tree: SensorTree, p) -> np.ndarray:
-    """p checked by as_marginals and then for realizability: OrderingViolated
+    """p checked by as_marginals and made exactly realizable: OrderingViolated
     when some child marginal exceeds its parent's by more than MARGINAL_TOL
-    (such p are not realizable by any distribution)."""
+    (such p are not realizable by any distribution); a smaller excess is
+    clamped to the parent's value, root first."""
     p = as_marginals(p, tree.m)
     viol = ordering_violation(tree, p)
     if viol > MARGINAL_TOL:
         raise OrderingViolated(
             f"child marginal exceeds its parent's by {viol:g}; not realizable"
         )
-    return p
+    eff = np.array(p)
+    for i in tree.root_first:
+        j = tree.parent_of(i)
+        if j != 0:
+            eff[i - 1] = min(eff[i - 1], eff[j - 1])
+    return eff
 
 
 def decompose(tree: SensorTree, p) -> TreeDistribution:
@@ -38,15 +45,8 @@ def decompose(tree: SensorTree, p) -> TreeDistribution:
     Zero-mass sets are dropped, so the support has at most m + 1 trees.
     """
     p = realizable_marginals(tree, p)
-    # Clamp sub-tolerance inversions exactly so sorted prefixes are closed.
-    eff = np.array(p)
-    for i in tree.root_first:
-        j = tree.parent_of(i)
-        if j != 0:
-            eff[i - 1] = min(eff[i - 1], eff[j - 1])
-
-    order = sorted(range(1, tree.m + 1), key=lambda i: (-eff[i - 1], tree.depth_of(i), i))
-    levels = [eff[i - 1] for i in order]
+    order = sorted(tree.root_first, key=lambda i: -p[i - 1])
+    levels = [p[i - 1] for i in order]
 
     pairs = []
     if 1.0 - levels[0] > 0.0:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import pbh_observable, symmetrize
+from ._linalg import pbh_observable
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -107,12 +107,10 @@ class LinearSystem:
 
     Q is the process-noise covariance, r the per-sensor measurement-noise
     variances (R is diagonal), Sigma0 the initial state covariance. Row i
-    of C is the observation row of sensor i; its information contribution
-    is the rank-one matrix C_i^T C_i / r_i, and ``info`` stacks these
-    increments, shape (m, n, n); ``eigvals`` holds the eigenvalues of A for
-    the PBH tests. Both are computed once, read-only. Non-finite entries
-    raise InvalidInput, and a Q or Sigma0 not symmetric PD or an r_i <= 0
-    raises NonPositiveNoise.
+    of C is the observation row of sensor i; ``eigvals`` holds the
+    eigenvalues of A for the PBH tests, computed once, read-only. Non-finite
+    entries raise InvalidInput, and a Q or Sigma0 not symmetric PD or an
+    r_i <= 0 raises NonPositiveNoise.
     """
 
     A: np.ndarray
@@ -120,7 +118,6 @@ class LinearSystem:
     C: np.ndarray
     r: np.ndarray
     Sigma0: np.ndarray
-    info: np.ndarray = field(init=False, repr=False)
     eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -150,8 +147,6 @@ class LinearSystem:
         _check_spd("Sigma0", S)
         if np.any(r <= 0.0):
             raise NonPositiveNoise(f"r must be > 0 (measurement-noise variances), got min {r.min()}")
-        scaled = C / np.sqrt(r)[:, None]
-        object.__setattr__(self, "info", _frozen_array(np.einsum("ij,ik->ijk", scaled, scaled)))
         object.__setattr__(self, "eigvals", _frozen_array(np.linalg.eigvals(A), dtype=None))
 
     @property
@@ -161,15 +156,6 @@ class LinearSystem:
     @property
     def m(self) -> int:
         return self.C.shape[0]
-
-    def info_sum(self, weights) -> np.ndarray:
-        """Weighted information matrix sum_i w_i C_i^T C_i / r_i, exactly symmetric."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.m,):
-            raise DimensionMismatch(f"weights must have shape ({self.m},), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInput("weights must be finite")
-        return symmetrize(np.tensordot(w, self.info, axes=1))
 
 
 def validate_system(sys: LinearSystem) -> None:
@@ -222,7 +208,6 @@ class SensorTree:
         children: list[list[int]] = [[] for _ in range(m + 1)]
         for i in range(1, m + 1):
             children[int(parent[i - 1])].append(i)
-        object.__setattr__(self, "_depth", _frozen_array(depth, dtype=int))
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
         order = sorted(range(1, m + 1), key=lambda i: depth[i])
         object.__setattr__(self, "root_first", tuple(order))
@@ -236,10 +221,6 @@ class SensorTree:
 
     def children_of(self, node: int) -> tuple:
         return self._children[node]
-
-    def depth_of(self, i: int) -> int:
-        """Hop count from node i to the fusion center."""
-        return int(self._depth[i])
 
     def cost_of(self, i: int) -> float:
         return float(self.cost[i - 1])

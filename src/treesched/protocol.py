@@ -168,8 +168,10 @@ def simulate_run(
     ``on_round(k, outcome)`` is called after each round with its number k,
     counting from 1, and its RoundOutcome. A negative round count, or a
     seed outside the generator's 64-bit state [0, 2**64), raises
-    InvalidInput, and marginals with a child above its parent raise
-    OrderingViolated before any round runs.
+    InvalidInput. Marginals are made realizable as ``decompose`` makes them
+    (``realizable_marginals``), so a child above its parent raises
+    OrderingViolated before any round runs, or is clamped to its parent
+    when the excess is within MARGINAL_TOL.
     """
     if rounds < 0 or not 0 <= seed <= _MASK64:
         raise InvalidInput(f"need rounds >= 0 and 0 <= seed < 2**64, got rounds={rounds}, seed={seed}")

@@ -57,6 +57,9 @@ class SamplePath:
     final_P: np.ndarray
 
     def time_average(self) -> float:
+        """Mean of trace(P_k) over the path; InvalidInput for a path of 0 steps."""
+        if not self.traces.size:
+            raise InvalidInput("a sample path of 0 steps has no time average")
         return float(self.traces.mean())
 
 
@@ -115,6 +118,7 @@ def _propagate(
     diag = np.arange(sys.n)
     for k in range(steps):
         # Predict every path, M = sym(A P A^T) + Q: the whole step for the empty tree.
+        # In these buffers on purpose: _linalg.predict gives the same bits but is slower here.
         np.matmul(sys.A, P, out=M)
         np.matmul(M, sys.A.T, out=P)
         np.add(P, np.swapaxes(P, 1, 2), out=M)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky_or_none, predict, spd_inverse, symmetrize
-from .errors import Diverged, InitialDiverged, InvalidInput, SolverStalled
+from ._linalg import predict, spd_inverse, symmetrize
+from .errors import Diverged, InitialDiverged, InvalidInput, SingularMatrix, SolverStalled
 from .lowerbound import L_infinity, L_step, as_covariance
 from .model import LinearSystem, validate_system
 from .polytope import FeasibleSet, contains, project
@@ -90,11 +90,14 @@ def solve_descent_subproblem(
     Linv_prev = spd_inverse(L_prev)
     Ct = sys.C.T  # (n, m)
     eye = np.eye(n)
+    # Information increments C_i^T C_i / r_i, one (n, n) matrix per sensor.
+    scaled = sys.C / np.sqrt(sys.r)[:, None]
+    info = np.einsum("ij,ik->ijk", scaled, scaled)
 
     p0 = project(fs, np.asarray(p_start, dtype=float))
 
     def M_of(p):
-        return W + sys.info_sum(p)
+        return W + symmetrize(np.tensordot(p, info, axes=1))
 
     # Inflate the barrier slack just enough to make the start strictly
     # feasible despite inversion round-off; 1e-12 in well-scaled problems.
@@ -107,12 +110,11 @@ def solve_descent_subproblem(
     def evaluate(p, mu):
         M = M_of(p)
         S = M - Linv_prev + eps * eye
-        cS = cholesky_or_none(S)
-        cM = cholesky_or_none(M)
-        if cS is None or cM is None:
+        try:
+            logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(S)))))
+            Minv = spd_inverse(M)
+        except (np.linalg.LinAlgError, SingularMatrix):
             return np.inf, None
-        Minv = symmetrize(np.linalg.inv(M))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cS))))
         return float(np.trace(Minv)) - mu * logdet, (Minv, S)
 
     def gradient(mu, cache):

@@ -28,6 +28,7 @@ from .errors import (
 from .model import LinearSystem, SensorTree, as_integer, validate_system
 
 MAX_ATTEMPTS = 100  # placements tried before giving up on an observable instance
+MAX_DIMENSION = 2048  # most grid points n and sensors m: dense n x n and m x m arrays stay near 32 MB
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class DiffusionConfig:
         for f in fields(self):
             object.__setattr__(self, f.name, parse[f.type](getattr(self, f.name), f.name))
         ratio = self.side_length / self.grid_spacing if self.grid_spacing > 0.0 else 0.0
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise InvalidInput("need grid_spacing > 0 and side_length a positive integer multiple of it")
         stability = self.diffusion_rate * self.time_step / self.grid_spacing**2
         if not 0.0 <= stability <= 0.25:
@@ -58,6 +59,10 @@ class DiffusionConfig:
             )
         if self.sensor_count < 1:
             raise InvalidInput("need at least one sensor")
+        if max(self.n, self.sensor_count) > MAX_DIMENSION:
+            raise InvalidInput(
+                f"need at most {MAX_DIMENSION} grid points and sensors, got {self.n} and {self.sensor_count}"
+            )
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if self.budget < 0.0:

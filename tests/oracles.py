@@ -114,7 +114,8 @@ def grid_search_subproblem(
     W = 0.5 * (W + W.T)
     Linv = np.linalg.inv(L_prev)
     Linv = 0.5 * (Linv + Linv.T)
-    info = sys.info
+    scaled = sys.C / np.sqrt(sys.r)[:, None]
+    info = np.einsum("ij,ik->ijk", scaled, scaled)  # C_i^T C_i / r_i per sensor
     axis = np.arange(0.0, 1.0 + resolution / 2, resolution)
 
     def eval_points(P: np.ndarray) -> tuple:

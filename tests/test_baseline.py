@@ -75,7 +75,7 @@ class TestBestDeterministic:
             diverged = False
             for _ in range(30000):
                 pred = sys.A @ X @ sys.A.T + sys.Q
-                Xn = np.linalg.inv(np.linalg.inv(pred) + sys.info_sum(w))
+                Xn = np.linalg.inv(np.linalg.inv(pred) + (sys.C.T * (w / sys.r)) @ sys.C)
                 if np.linalg.norm(Xn - X, "fro") <= 1e-13 * (1 + np.linalg.norm(X, "fro")):
                     X = Xn
                     break

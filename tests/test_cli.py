@@ -338,6 +338,13 @@ TINY_EXPERIMENT = {
         ),
         pytest.param("experiment", {"diffusion": [1]}, "InvalidInput", id="experiment-diffusion-list"),
         pytest.param("diffusion", {"grid_spacing": 0}, "InvalidInput", id="diffusion-grid-spacing-0"),
+        pytest.param("diffusion", {"side_length": 100000.0}, "InvalidInput", id="diffusion-grid-too-large"),
+        pytest.param(
+            "diffusion", {"side_length": 1e300, "grid_spacing": 1e-10}, "InvalidInput", id="diffusion-grid-overflow"
+        ),
+        pytest.param(
+            "diffusion", {"sensor_count": 10**12}, "InvalidInput", id="diffusion-sensor-count-too-large"
+        ),
         pytest.param(
             "diffusion", {"grid_spacing": -1, "side_length": -3}, "InvalidInput", id="diffusion-grid-spacing-neg"
         ),
@@ -391,6 +398,21 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, config, error):
     assert err.startswith(f"error: {error}:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
+    """Running out of memory (here in the Monte Carlo estimate, as an
+    ``mc_trials`` of 10**12 does) exits 2 with one named line and no output."""
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "asymptotic_expected_trace", out_of_memory)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY_EXPERIMENT))
+    assert main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -35,7 +35,6 @@ L_UNIFORM = L_infinity(SYSTEM, np.eye(2), P)
 # (argument, call with the argument, a valid value)
 CASES = [
     *((f"LinearSystem.{k}", lambda v, k=k: LinearSystem(**{**ARRAYS, k: v}), ARRAYS[k]) for k in ARRAYS),
-    ("LinearSystem.info_sum", SYSTEM.info_sum, P),
     ("SensorTree.parent", lambda v: SensorTree(parent=v, cost=[1.0, 1.0]), [0, 1]),
     ("SensorTree.cost", lambda v: SensorTree(parent=[0, 1], cost=v), [1.0, 1.0]),
     ("TreeDistribution.probs", lambda v: TreeDistribution((frozenset(), frozenset({1})), v), P),

@@ -97,8 +97,6 @@ class TestValidateSystem:
         sys = LinearSystem(A=np.eye(2), Q=np.eye(2), C=np.eye(2), r=[1.0, 1.0], Sigma0=np.eye(2))
         with pytest.raises(ValueError):
             sys.A[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            sys.info[0, 0, 0] = 5.0
 
     @pytest.mark.parametrize("name", ["A", "Q", "C", "r", "Sigma0"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -125,7 +123,6 @@ class TestSensorTree:
     def test_children_and_depth(self, chain3_tree):
         assert chain3_tree.children_of(0) == (1,)
         assert chain3_tree.children_of(1) == (2,)
-        assert chain3_tree.depth_of(3) == 3
 
     def test_nonpositive_cost_rejected(self):
         with pytest.raises(ValueError):

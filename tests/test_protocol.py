@@ -199,6 +199,10 @@ class TestSimulateRun:
         with pytest.raises(OrderingViolated):
             simulate_run(tree, [0.5, 0.6], seed=0, rounds=5, on_round=lambda k, outcome: seen.append(k))
         assert seen == []
-        # within decompose's tolerance the run goes ahead
-        run = simulate_run(tree, [0.5, 0.5 + 1e-13], seed=0, rounds=50)
-        assert run.rounds == 50
+        # within decompose's tolerance the run goes ahead and draws decompose's
+        # trees, also when seed 0's first alpha = a falls between the marginals
+        a = shared_draw(0)[0]
+        for p in ([0.5, 0.5 + 1e-13], [a - 1e-13, a]):
+            run = simulate_run(tree, p, seed=0, rounds=50)
+            assert run.rounds == 50
+            assert set(run.tree_counts) <= set(decompose(tree, p).trees)

@@ -180,6 +180,13 @@ def test_negative_steps_or_seed_rejected(scalar_system, scalar_tree, steps, seed
         expected_trace_curve(scalar_system, scalar_tree, mixed_dist(), steps, trials=2, seed=seed)
 
 
+def test_empty_path_has_no_time_average(scalar_system, scalar_tree):
+    sp = sample_path(scalar_system, scalar_tree, mixed_dist(), seed=0, steps=0)
+    assert sp.traces.shape == (0,)
+    with pytest.raises(InvalidInput, match="0 steps"):
+        sp.time_average()
+
+
 def test_every_estimator_stops_a_diverging_schedule(scalar_tree):
     sys, dist = unstable_case()
     with pytest.raises(Diverged, match="exceeded 1e\\+06 at step"):
