@@ -4,10 +4,10 @@ A deterministic schedule repeats one transmission tree forever, so the
 search space is the set of parent-closed sensor subsets whose energy fits
 the per-round budget. Each candidate's covariance recursion is a
 deterministic Riccati iteration, and the candidates are iterated in blocks:
-one ``L_infinity`` call per block of detectable candidates, each leaving the
-stack at its own fixed point. The best tree minimizes the fixed-point
-trace. Intended as a desk-scale comparison target, hence the hard cap on
-the enumeration size.
+``L_infinity``'s loop runs once per block of detectable candidates, each
+leaving the stack at its own fixed point. The best tree minimizes the
+fixed-point trace. Intended as a desk-scale comparison target, hence the
+hard cap on the enumeration size.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverged, InvalidBudget, TooManyTrees
-from .lowerbound import L_infinity, detectable_schedule
+from .lowerbound import L_infinity, _fixed_point, detectable_schedule  # noqa: F401 (traced by perfbench)
 from .model import LinearSystem, SensorTree, indicator, tree_energy
 
 MAX_TREES = 10**6
 
-# Candidates per L_infinity call: enough to amortize numpy's per-call cost,
+# Candidates per fixed-point loop: enough to amortize numpy's per-call cost,
 # few enough that the stack adds no visible memory.
 _BLOCK = 32
 
@@ -102,7 +102,7 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
         weights = [indicator(members, sys.m) for members in block]
         detectable = [detectable_schedule(sys, w) for w in weights]
         stack = np.reshape([w for w, ok in zip(weights, detectable) if ok], (-1, sys.m))
-        traces = iter([float(np.trace(P)) for P in L_infinity(sys, sys.Sigma0, stack)])
+        traces = iter([float(np.trace(P)) for P in _fixed_point(sys, sys.Sigma0, stack)])
         rows.extend(
             (tuple(sorted(members)), tree_energy(tree, members), next(traces) if ok else None)
             for members, ok in zip(block, detectable)

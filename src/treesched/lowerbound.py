@@ -64,10 +64,16 @@ def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
     rows = [as_marginals(w, sys.m) for w in (p if stacked else [p])]
     if not all(detectable_schedule(sys, w) for w in rows):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
-    C = np.sqrt(np.reshape(rows, (-1, sys.m)))[:, :, None] * sys.C  # (B, m, n) weighted rows
-    L = np.repeat(symmetrize(as_covariance(sys, X0))[None], len(rows), axis=0)
+    out = _fixed_point(sys, as_covariance(sys, X0), np.reshape(rows, (-1, sys.m)))
+    return out if stacked else out[0]
+
+
+def _fixed_point(sys: LinearSystem, X0: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The loop of L_infinity on a (B, m) stack whose rows are checked and detectable."""
+    C = np.sqrt(p)[:, :, None] * sys.C  # (B, m, n) weighted rows
+    L = np.repeat(symmetrize(X0)[None], len(p), axis=0)
     out = np.empty_like(L)
-    live = np.arange(len(rows))  # the rows of out that L and C still iterate
+    live = np.arange(len(p))  # the rows of out that L and C still iterate
     for _ in range(FIXED_POINT_MAX_ITER):
         L_next = covariance_update(predict(sys.A, sys.Q, L), C, sys.r)
         step = np.linalg.norm(L_next - L, axis=(1, 2))
@@ -76,7 +82,7 @@ def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
             out[live[done]] = L_next[done]
             live, L_next, C = live[~done], L_next[~done], C[~done]
         if not live.size:
-            return out if stacked else out[0]
+            return out
         L = L_next
     raise MaxIterations(
         f"no fixed point within {FIXED_POINT_MAX_ITER} iterations at tolerance {FIXED_POINT_TOL:g}"

@@ -6,18 +6,17 @@ subtrees within an expected-energy budget E_d exactly when
     0 <= p_i <= 1,    sum_i c_i p_i <= E_d,    p_i <= p_{parent(i)}
 
 (the last family only for sensors whose parent is another sensor). The set
-is a polytope; Euclidean projection onto it is computed exactly by
-dualizing the single budget constraint:
+is a polytope; Euclidean projection onto it dualizes the budget constraint:
 
     p(lam) = proj_B(q - lam * c),      B = box  ∩  ordering cone,
 
 where proj_B is an exact isotonic regression on the forest of sensor
 branches, computed by merging violating blocks from the leaves up, followed
 by a clamp into [0, 1] (clamping commutes with isotonic projection under
-uniform bounds). The budget usage c @ p(lam) is nonincreasing and
-continuous in lam, so the optimal multiplier is found by a safeguarded
-regula falsi; because projections are nonexpansive, a multiplier bracket
-of width w certifies the answer to within w * ||c||.
+uniform bounds). As c > 0, p(lam) is entrywise nonincreasing in lam. So
+when the budget gaps g = c @ p - E_d at the two ends of a multiplier bracket
+are g_lo > 0 >= g_hi, the projection lies between the two end points, and
+their interpolant at g = 0 lies within (g_lo - g_hi) / min(c) of it in l1.
 """
 
 from __future__ import annotations
@@ -120,58 +119,58 @@ def isotonic_tree_project(tree: SensorTree, q) -> np.ndarray:
 def project(fs: FeasibleSet, q) -> np.ndarray:
     """Euclidean projection of q onto the feasible set (unique by strict convexity).
 
-    Returns a point that satisfies every constraint exactly (the ordering
-    and box are enforced by construction, the budget by the multiplier
-    bracket) and lies within KKT_TOL of the true projection. A q of the
-    wrong length raises DimensionMismatch, a non-finite one InvalidInput.
+    Where the budget binds, this is the interpolant at g = 0 of a multiplier
+    bracket's end points (module docstring), once the end gaps put it within
+    KKT_TOL of the projection or no double lies strictly between the two
+    multipliers. It meets the box and the ordering exactly and spends the
+    budget to rounding. A q of the wrong length raises DimensionMismatch, a
+    non-finite one InvalidInput; SolverStalled means that max(q / c)
+    overflows or that 200 steps reached neither stop.
     """
     q = np.asarray(q, dtype=float)
-    m = fs.m
-    if q.shape != (m,):
-        raise DimensionMismatch(f"expected a vector of length {m}, got shape {q.shape}")
+    if q.shape != (fs.m,):
+        raise DimensionMismatch(f"expected a vector of length {fs.m}, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise InvalidInput("the point to project must be finite")
 
     c = fs.tree.cost.astype(float)
-    c_norm = float(np.linalg.norm(c))
 
     def p_of(lam: float) -> np.ndarray:
         return np.clip(isotonic_tree_project(fs.tree, q - lam * c), 0.0, 1.0)
 
-    p0 = p_of(0.0)
-    g0 = float(c @ p0) - fs.budget
-    if g0 <= 0.0:
-        return p0
+    p_lo = p_of(0.0)
+    g_lo = float(c @ p_lo) - fs.budget
+    if g_lo <= 0.0:
+        return p_lo
 
-    lam_lo, g_lo = 0.0, g0
-    lam_hi = 1.0
-    for _ in range(200):
-        g_hi = float(c @ p_of(lam_hi)) - fs.budget
-        if g_hi <= 0.0:
-            break
-        lam_lo, g_lo = lam_hi, g_hi
-        lam_hi *= 4.0
-    else:
-        raise SolverStalled("could not bracket the budget multiplier")
-
-    # Illinois-damped regula falsi on the monotone piecewise-linear usage gap.
-    side = 0
-    for _ in range(200):
-        if (lam_hi - lam_lo) * c_norm <= 0.25 * KKT_TOL:
-            break
-        denom = g_hi - g_lo
-        lam = 0.5 * (lam_lo + lam_hi) if denom == 0.0 else lam_hi - g_hi * (lam_hi - lam_lo) / denom
-        if not (lam_lo < lam < lam_hi):
-            lam = 0.5 * (lam_lo + lam_hi)
-        g = float(c @ p_of(lam)) - fs.budget
-        if g > 0.0:
-            lam_lo, g_lo = lam, g
-            if side == -1:
-                g_hi *= 0.5
-            side = -1
+    # p(lam) is 1 up to min((q - 1) / c) and 0 from max(q / c) on. Overflow is
+    # harmless: q / c = inf is reported, and lam * c = inf gives p = 0 as it should.
+    with np.errstate(over="ignore"):
+        lam_lo, lam_hi = max(0.0, float(np.min((q - 1.0) / c))), float(np.max(q / c))
+        if not np.isfinite(lam_hi):
+            raise SolverStalled(f"the budget multiplier bracket overflows (max q/c = {lam_hi:g})")
+        p_hi, g_hi = np.zeros_like(q), -fs.budget
+        # Illinois regula falsi on damped gaps f; bisect after a step that did not halve.
+        f_lo, f_hi, side, halved = g_lo, g_hi, 0, True
+        for _ in range(200):
+            if g_hi == 0.0 or g_lo - g_hi <= KKT_TOL * c.min():
+                break
+            width = lam_hi - lam_lo
+            lam = lam_hi - width * (f_hi / (f_hi - f_lo))
+            if not (halved and lam_lo < lam < lam_hi):
+                lam = lam_lo + 0.5 * width
+                if not lam_lo < lam < lam_hi:
+                    break  # adjacent doubles: the end gaps bound the error
+            p = p_of(lam)
+            g = float(c @ p) - fs.budget
+            if g > 0.0:
+                f_hi *= 0.5 if side == -1 else 1.0
+                lam_lo, p_lo, g_lo, f_lo, side = lam, p, g, g, -1
+            else:
+                f_lo *= 0.5 if side == 1 else 1.0
+                lam_hi, p_hi, g_hi, f_hi, side = lam, p, g, g, 1
+            halved = lam_hi - lam_lo <= 0.5 * width
         else:
-            lam_hi, g_hi = lam, g
-            if side == 1:
-                g_lo *= 0.5
-            side = 1
-    return p_of(lam_hi)
+            raise SolverStalled("the budget multiplier search reached no stop within 200 steps")
+    t = g_lo / (g_lo - g_hi)
+    return (1.0 - t) * p_lo + t * p_hi

@@ -22,7 +22,7 @@ from .model import (
     is_valid_subtree,
     tree_energy,
 )
-from .polytope import FeasibleSet, contains, project
+from .polytope import KKT_TOL, FeasibleSet, contains, isotonic_tree_project, project
 from .protocol import shared_draw, simulate_run
 from .riccati import expected_trace_curve, g_T, sample_path
 from .scheduler import greedy_optimize
@@ -236,7 +236,8 @@ def check_polytope_convex(samples: int = 200, seed: int = 20) -> None:
 
 
 def check_projection_properties(samples: int = 60, seed: int = 21) -> None:
-    """Idempotence and nonexpansiveness of the projection."""
+    """Idempotence and nonexpansiveness of the projection, and a binding budget
+    spent within KKT_TOL * min(c), also for the input scaled by 1e9."""
     rng = np.random.default_rng(seed)
     for k in range(samples):
         m = int(rng.integers(1, 10))
@@ -250,6 +251,10 @@ def check_projection_properties(samples: int = 60, seed: int = 21) -> None:
         assert (
             np.linalg.norm(p1 - p2) <= np.linalg.norm(q1 - q2) + 1e-7
         ), f"projection expansive (sample {k})"
+        for q, p in ((q1, p1), (1e9 * q1, project(fs, 1e9 * q1))):
+            if float(tree.cost @ np.clip(isotonic_tree_project(tree, q), 0.0, 1.0)) > fs.budget:
+                gap = abs(float(tree.cost @ p) - fs.budget)
+                assert gap <= KKT_TOL * float(tree.cost.min()), f"binding budget missed by {gap:g} (sample {k})"
 
 
 def check_energy_identity(samples: int = 100, seed: int = 22) -> None:

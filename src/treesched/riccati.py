@@ -93,8 +93,9 @@ def _propagate(
     default_rng(seed); otherwise trial t draws from default_rng([seed, t]).
     Returns (draws, traces, P): the support index and trace of each path
     and step, both (paths, steps), and the final covariance stack. Raises
-    InvalidInput for a negative ``steps`` or ``seed``, and Diverged once the
-    mean trace over the paths exceeds DIVERGENCE_FACTOR * trace(Sigma0).
+    InvalidInput for a negative ``steps`` or ``seed`` or for more draws than
+    numpy can shape, and Diverged once the mean trace over the paths
+    exceeds DIVERGENCE_FACTOR * trace(Sigma0).
     """
     if steps < 0 or seed < 0:
         raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
@@ -104,15 +105,19 @@ def _propagate(
             raise InvalidSubtree(f"support tree {sorted(members)} is not valid")
         idx = np.flatnonzero(indicator(members, sys.m))
         rows.append((sys.C[idx], sys.r[idx]))
-    keys = [seed] if trials is None else [[seed, t] for t in range(trials)]
+    n_paths = 1 if trials is None else trials
+    try:
+        draws = np.empty((n_paths, steps), dtype=np.intp)
+    except ValueError as exc:  # numpy refuses the shape, e.g. "array is too big"
+        raise InvalidInput(f"cannot hold {n_paths} paths of {steps} steps: {exc}") from None
     cum = np.cumsum(dist.probs)
-    draws = np.empty((len(keys), steps), dtype=np.intp)
-    for t, key in enumerate(keys):
-        draws[t] = np.searchsorted(cum, np.random.default_rng(key).random(steps), side="right")
+    for t in range(n_paths):
+        rng = np.random.default_rng(seed if trials is None else [seed, t])
+        draws[t] = np.searchsorted(cum, rng.random(steps), side="right")
     np.minimum(draws, len(dist) - 1, out=draws)
 
     limit = DIVERGENCE_FACTOR * float(np.trace(sys.Sigma0))
-    P = np.broadcast_to(sys.Sigma0, (len(keys), sys.n, sys.n)).copy()
+    P = np.broadcast_to(sys.Sigma0, (n_paths, sys.n, sys.n)).copy()
     M = np.empty_like(P)
     traces = np.empty(draws.shape)
     diag = np.arange(sys.n)
@@ -132,7 +137,7 @@ def _propagate(
                 paths = draws[:, k] == j
                 P[paths] = covariance_update(P[paths], C_T, r_T)
         traces[:, k] = P[:, diag, diag].sum(axis=1)
-        if traces[:, k].sum() > len(keys) * limit:
+        if traces[:, k].sum() > n_paths * limit:
             raise Diverged(
                 f"mean trace exceeded {limit:g} at step {k + 1}; "
                 "the schedule does not stabilize the estimator"

@@ -7,6 +7,7 @@ from oracles import grid_search_projection
 from treesched.errors import DimensionMismatch, InvalidInput, SolverStalled
 from treesched.model import SensorTree
 from treesched.polytope import (
+    KKT_TOL,
     FeasibleSet,
     contains,
     feasibility_of_marginals,
@@ -67,12 +68,30 @@ class TestProject:
         with pytest.raises(DimensionMismatch):
             project(chain2_fs, [0.5, 0.5, 0.5])
 
-    def test_unbracketable_multiplier_raises(self):
-        # The multiplier bracket grows by 4x for 200 tries, up to about 1e120,
-        # too little to pull a coordinate of 1e300 down onto the budget.
+    def test_huge_coordinate_projects_exactly(self):
+        # The bracket is read off q / c, so no search has to grow it to 1e300.
         fs = FeasibleSet(SensorTree(parent=[0], cost=[1.0]), 0.5)
-        with pytest.raises(SolverStalled, match="bracket"):
-            project(fs, [1e300])
+        assert project(fs, [1e300]).tolist() == [0.5]
+
+    def test_budget_spent_for_huge_inputs(self):
+        rng = np.random.default_rng(0)
+        tree = random_tree(rng, 12)
+        fs = FeasibleSet(tree, 0.4 * float(tree.cost.sum()))
+        p = project(fs, rng.uniform(-2, 2, 12) * 1e9)
+        assert abs(float(tree.cost @ p) - fs.budget) <= KKT_TOL * float(tree.cost.min())
+
+    def test_overflowing_bracket_raises(self):
+        fs = FeasibleSet(SensorTree(parent=[0], cost=[1e-310]), 1e-311)
+        with pytest.raises(SolverStalled, match="overflows"):
+            project(fs, [1.0])
+
+    def test_search_cap_raises(self):
+        # Costs 600 orders apart: the multiplier sits near 1e-300 in a bracket
+        # reaching 1e300, and 200 steps reach neither stop. That raises; the
+        # search never returns an uncertified point.
+        fs = FeasibleSet(SensorTree(parent=[0, 1], cost=[1e-300, 1e300]), 0.5)
+        with pytest.raises(SolverStalled, match="200 steps"):
+            project(fs, [1.0, 1.0])
 
     def test_zero_budget_collapses_to_origin(self, rng):
         tree = random_tree(rng, 5)

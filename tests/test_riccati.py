@@ -1,6 +1,10 @@
 """Riccati map, sample paths, and Monte Carlo estimates vs independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from treesched.riccati import (
 )
 
 GOLDEN_FP = (math.sqrt(5.0) - 1.0) / 2.0  # fixed point of x -> (x+1)/(x+2)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def mixed_dist():
@@ -178,6 +183,39 @@ def test_negative_steps_or_seed_rejected(scalar_system, scalar_tree, steps, seed
         sample_path(scalar_system, scalar_tree, mixed_dist(), seed=seed, steps=steps)
     with pytest.raises(InvalidInput):
         expected_trace_curve(scalar_system, scalar_tree, mixed_dist(), steps, trials=2, seed=seed)
+
+
+# Asks for 2**60 Monte Carlo paths with the address space capped 256 MiB above
+# its size at the call, so per-trial state built before the first array fails
+# with MemoryError in the child instead of growing until the host runs out.
+_HUGE_TRIALS = """
+import resource
+from treesched.model import LinearSystem, SensorTree, TreeDistribution
+from treesched.riccati import expected_trace_curve
+
+sys_ = LinearSystem(A=[[1.0]], Q=[[1.0]], C=[[1.0]], r=[1.0], Sigma0=[[1.0]])
+dist = TreeDistribution.from_pairs([(frozenset(), 0.5), (frozenset({1}), 0.5)])
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+try:
+    expected_trace_curve(sys_, SensorTree(parent=[0], cost=[1.0]), dist, 160, trials=2**60, seed=0)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_unshapeable_trial_count_rejected():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_TRIALS],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "InvalidInput", proc.stdout + proc.stderr
 
 
 def test_empty_path_has_no_time_average(scalar_system, scalar_tree):
