@@ -18,13 +18,14 @@ bit-exact on every platform. From seed 0 the first alpha is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decompose import realizable_marginals
 from .errors import AgreementViolation, InvalidInput
-from .model import SensorTree, as_marginals, indicator, tree_energy
+from .model import SensorTree, as_integer, as_marginals, indicator, tree_energy
 
 _MASK64 = (1 << 64) - 1
 
@@ -166,20 +167,39 @@ def simulate_run(
     With ordering-feasible p the per-sensor selection frequencies converge
     to p and the mean energy to sum_i c_i p_i. An optional
     ``on_round(k, outcome)`` is called after each round with its number k,
-    counting from 1, and its RoundOutcome. A negative round count, or a
-    seed outside the generator's 64-bit state [0, 2**64), raises
-    InvalidInput. Marginals are made realizable as ``decompose`` makes them
+    counting from 1, and its RoundOutcome. A seed or round count that is not
+    an integer (``model.as_integer``), a negative round count, or a seed
+    outside the generator's 64-bit state [0, 2**64), raises InvalidInput.
+    Marginals are made realizable as ``decompose`` makes them
     (``realizable_marginals``), so a child above its parent raises
     OrderingViolated before any round runs, or is clamped to its parent
     when the excess is within MARGINAL_TOL.
+
+    A round's outcome depends on alpha only through the number of distinct
+    entries of p below it, since sensor i transmits iff alpha <= p_i. So the
+    first round in each such interval runs ``simulate_round`` on the nodes,
+    and later rounds in it reuse that outcome with their own alpha.
     """
+    seed, rounds = as_integer(seed, "seed"), as_integer(rounds, "rounds")
     if rounds < 0 or not 0 <= seed <= _MASK64:
         raise InvalidInput(f"need rounds >= 0 and 0 <= seed < 2**64, got rounds={rounds}, seed={seed}")
     nodes = build_nodes(tree, realizable_marginals(tree, p), seed)
+    levels = sorted({node.p_self for node in nodes})
+    by_interval: dict = {}  # number of levels below alpha -> the rule's outcome there
+    state = seed
     energy_sum = 0.0
     tree_counts: dict = {}
     for k in range(1, rounds + 1):
-        outcome = simulate_round(tree, nodes)
+        alpha, next_state = shared_draw(state)
+        interval = bisect_left(levels, alpha)
+        known = by_interval.get(interval)
+        if known is None:
+            for node in nodes:
+                node.prng_state = state
+            outcome = by_interval[interval] = simulate_round(tree, nodes)
+        else:
+            outcome = RoundOutcome(alpha, known.selected, known.transmissions, known.energy)
+        state = next_state
         energy_sum += outcome.energy
         tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
         if on_round is not None:

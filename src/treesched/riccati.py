@@ -33,7 +33,7 @@ from ._linalg import covariance_update
 from ._linalg import spd_inverse  # noqa: F401  (perfbench/tracing.py patches it here)
 from .errors import Diverged, InvalidInput, InvalidSubtree
 from .lowerbound import L_step, detectable_schedule
-from .model import LinearSystem, SensorTree, TreeDistribution, indicator, is_valid_subtree
+from .model import LinearSystem, SensorTree, TreeDistribution, as_integer, indicator, is_valid_subtree
 
 DIVERGENCE_FACTOR = 1e6  # running mean above this multiple of trace(Sigma0) flags divergence
 
@@ -72,8 +72,9 @@ def sample_path(
 ) -> SamplePath:
     """Simulate one path of P_k, drawing a tree independently each step.
 
-    A negative ``steps`` or ``seed`` raises InvalidInput, and a trace above
-    DIVERGENCE_FACTOR * trace(Sigma0) raises Diverged.
+    A ``steps`` or ``seed`` that is not an integer (``model.as_integer``) or
+    is negative raises InvalidInput, and a trace above DIVERGENCE_FACTOR *
+    trace(Sigma0) raises Diverged.
     """
     draws, traces, P = _propagate(sys, tree, dist, steps, seed, trials=None)
     return SamplePath(traces=traces[0], tree_index=draws[0], final_P=P[0])
@@ -93,10 +94,11 @@ def _propagate(
     default_rng(seed); otherwise trial t draws from default_rng([seed, t]).
     Returns (draws, traces, P): the support index and trace of each path
     and step, both (paths, steps), and the final covariance stack. Raises
-    InvalidInput for a negative ``steps`` or ``seed`` or for more draws than
-    numpy can shape, and Diverged once the mean trace over the paths
-    exceeds DIVERGENCE_FACTOR * trace(Sigma0).
+    InvalidInput for a ``steps`` or ``seed`` that is not an integer or is
+    negative, or for more draws than numpy can shape, and Diverged once the
+    mean trace over the paths exceeds DIVERGENCE_FACTOR * trace(Sigma0).
     """
+    steps, seed = as_integer(steps, "steps"), as_integer(seed, "seed")
     if steps < 0 or seed < 0:
         raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
     rows = []  # observation rows and noise variances of each support tree

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: fixed
 points come from the scalar quadratic, expectations from propagating a
 discretized value distribution, optima from brute-force grid search,
-spanning trees from exhaustive edge-subset enumeration, and baseline rows
+spanning trees from exhaustive edge-subset enumeration, baseline rows
 from one single-schedule ``L_infinity`` call per candidate instead of the
-stacked blocks of ``best_deterministic``.
+stacked blocks of ``best_deterministic``, and protocol rounds from the node
+walk run afresh every round instead of ``simulate_run``'s reuse of it.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import math
 import numpy as np
 
 from treesched.baseline import enumerate_subtrees
+from treesched.decompose import realizable_marginals
 from treesched.errors import Diverged
 from treesched.lowerbound import L_infinity
 from treesched.model import indicator, tree_energy
 from treesched.properties import random_system, random_tree
+from treesched.protocol import build_nodes, simulate_round
 
 
 def scalar_fixed_point(a: float, q: float, c: float, r: float, s: float) -> float:
@@ -291,3 +294,10 @@ def per_candidate_rows(sys, tree, budget) -> tuple:
             tr = None
         rows.append((tuple(sorted(members)), tree_energy(tree, members), tr))
     return tuple(rows)
+
+
+def per_round_outcomes(tree, p, seed: int, rounds: int) -> list:
+    """The RoundOutcome of every round of a run, walking the nodes with
+    ``simulate_round`` once per round from nodes built on the realizable p."""
+    nodes = build_nodes(tree, realizable_marginals(tree, p), seed)
+    return [simulate_round(tree, nodes) for _ in range(rounds)]

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -259,6 +260,20 @@ class TestDecomposeSimulate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "round,alpha,selected_members,energy,packet_count"
         assert len(lines) == 51
+
+    def test_round_log_bytes_pinned(self, chain_model, tmp_path, capsys):
+        """Every byte of a 3,000-round log and of stdout, pinned to the
+        per-round node walk's output for this seed."""
+        out = tmp_path / "rounds.csv"
+        options = ["--p", "0.8,0.5,0.25", "--rounds", "3000", "--seed", "2024", "--out", str(out)]
+        assert main(["simulate", str(chain_model), *options]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "241fc5eac0737495a7b7f6839cee17169e1e7fc97ae9730e13081427a6ab5a51"
+        )
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "ebc89cac273959d7d9a917293353447ecda9d359e30eaa9ed4d439cbd7019e7b"
+        )
 
 
 class TestBaselineDiffusion:

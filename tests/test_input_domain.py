@@ -1,5 +1,6 @@
 """Input domain: NaN, +-inf and wrong shapes sent to any public array
-argument raise a named SchedulingError; membership predicates answer False."""
+argument raise a named SchedulingError; membership predicates answer False;
+seeds and lengths of the seeded samplers are integers or InvalidInput."""
 
 import math
 
@@ -20,6 +21,7 @@ from treesched import (
     feasibility_of_marginals,
     g_T,
     project,
+    sample_path,
     simulate_run,
     solve_descent_subproblem,
 )
@@ -103,3 +105,31 @@ def test_membership_predicates_answer_false():
     for label, bad in bad_values(P):
         assert not feasibility_of_marginals(TREE, bad), label
         assert not contains(FS, bad), label
+
+
+DIST = TreeDistribution((frozenset(), frozenset({1, 2})), [0.5, 0.5])
+
+# (argument, call with the argument): seeds, round and step counts of the seeded samplers
+INTEGER_ARGUMENTS = [
+    ("simulate_run.seed", lambda v: simulate_run(TREE, P, seed=v, rounds=3)),
+    ("simulate_run.rounds", lambda v: simulate_run(TREE, P, seed=1, rounds=v)),
+    ("sample_path.seed", lambda v: sample_path(SYSTEM, TREE, DIST, seed=v, steps=3)),
+    ("sample_path.steps", lambda v: sample_path(SYSTEM, TREE, DIST, seed=1, steps=v)),
+]
+
+
+@pytest.mark.parametrize("name, call", INTEGER_ARGUMENTS, ids=[name for name, _ in INTEGER_ARGUMENTS])
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.5), True, np.True_, "five", None], ids=repr)
+def test_seed_and_length_must_be_integers(name, call, bad):
+    """A fractional or boolean seed is not silently truncated to another
+    seed, and a non-number is an InvalidInput rather than a TypeError."""
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        call(bad)
+
+
+def test_integral_seed_and_length_read_as_integers():
+    """Integral floats and decimal strings pass, as they do in DiffusionConfig."""
+    run = simulate_run(TREE, P, seed=1.0, rounds="5")
+    assert run.rounds == 5 and run.tree_counts == simulate_run(TREE, P, seed=1, rounds=5).tree_counts
+    path = sample_path(SYSTEM, TREE, DIST, seed="1", steps=4.0)
+    assert np.array_equal(path.traces, sample_path(SYSTEM, TREE, DIST, seed=1, steps=4).traces)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import per_round_outcomes
 from treesched.decompose import decompose, marginals_of
 from treesched.errors import AgreementViolation, InvalidInput, OrderingViolated
 from treesched.model import SensorTree, indicator, tree_energy
@@ -206,3 +207,68 @@ class TestSimulateRun:
             run = simulate_run(tree, p, seed=0, rounds=50)
             assert run.rounds == 50
             assert set(run.tree_counts) <= set(decompose(tree, p).trees)
+
+
+class TestRoundForRound:
+    """simulate_run's outcomes, round by round, against the per-round node walk."""
+
+    def check(self, tree, p, seed, rounds):
+        seen = []
+        run = simulate_run(tree, p, seed, rounds, on_round=lambda k, outcome: seen.append(outcome))
+        expected = per_round_outcomes(tree, p, seed, rounds)
+        assert seen == expected
+        tree_counts: dict = {}
+        energy_sum = 0.0
+        for outcome in expected:
+            tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
+            energy_sum += outcome.energy
+        counts = sum((n * indicator(s, tree.m) for s, n in tree_counts.items()), np.zeros(tree.m))
+        assert run.rounds == rounds
+        assert run.tree_counts == tree_counts
+        assert list(run.tree_counts) == list(tree_counts)  # first-seen order too
+        assert np.array_equal(run.empirical_marginals, counts / max(rounds, 1))
+        assert run.mean_energy == energy_sum / max(rounds, 1)
+        assert run.total_packets == sum(len(outcome.transmissions) for outcome in expected)
+        assert run.control_messages == 0
+        return expected
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_random_trees_with_tied_levels(self, case):
+        rng = np.random.default_rng(700 + case)
+        tree = random_tree(rng, int(rng.integers(6, 12)))
+        # rounding is monotone, so ordering survives; 5 levels for 6+ sensors tie
+        p = np.round(random_feasible_marginals(rng, tree) * 4) / 4
+        assert len(set(p.tolist())) < tree.m
+        self.check(tree, p, seed=int(rng.integers(2**63)), rounds=600)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_exact_zero_and_one_entries(self, case):
+        rng = np.random.default_rng(800 + case)
+        tree = random_tree(rng, 7)
+        p = random_feasible_marginals(rng, tree)
+        p = np.where(p > 0.6, 1.0, np.where(p < 0.25, 0.0, p))  # monotone as well
+        assert 0.0 in p or 1.0 in p
+        self.check(tree, p, seed=case, rounds=400)
+
+    @pytest.mark.parametrize("level", [0.0, 0.37, 1.0])
+    def test_one_distinct_level(self, level, rng):
+        tree = random_tree(rng, 6)
+        self.check(tree, np.full(6, level), seed=11, rounds=300)
+
+    @pytest.mark.parametrize("boundary_round", [1, 6])
+    def test_alpha_exactly_on_an_entry(self, boundary_round):
+        """Round ``boundary_round`` draws exactly an entry a of p, and a is
+        selected there (alpha <= p_i), but not in the later rounds drawn
+        just above it. Whether a's round is the first or a later one to
+        land in its interval, the outcomes must not mix the two."""
+        tree = SensorTree(parent=[0, 1, 2, 3], cost=[1.0, 2.0, 3.0, 4.0])
+        seed = 3
+        state = seed
+        for _ in range(boundary_round):
+            a, state = shared_draw(state)
+        p = [1.0, min(1.0, a + 0.3), a, a / 2]
+        outcomes = self.check(tree, p, seed, rounds=400)
+        assert outcomes[boundary_round - 1].alpha == a
+        assert 3 in outcomes[boundary_round - 1].selected
+        above = [o for o in outcomes if a < o.alpha <= min(1.0, a + 0.3)]
+        assert above and all(o.selected == {1, 2} for o in above)
