@@ -5,8 +5,10 @@ update, and the package has one form of each: ``predict`` and
 ``covariance_update``. The update inverts only the innovation covariance of
 the observation rows it is given, so rows scaled by sqrt(p_i) give the
 lower-bound map with fractional sensor weights, and a Monte Carlo step with
-no report is the prediction alone. Every matrix inverse in the package is
-``spd_inverse``. Products A X A^T, C X C^T, inverses and weighted sums of
+no report is the prediction alone. Every inverse of a symmetric
+positive-definite matrix in the package is ``spd_inverse``; the one other
+system, the non-symmetric I + G H of ``lowerbound._doubling``, is solved
+with ``np.linalg.solve``. Products A X A^T, C X C^T, inverses and weighted sums of
 information increments are symmetrized where they are formed; a sum of
 exactly symmetric arrays is exact and is left alone. Inversions raise
 ``SingularMatrix`` on a failed Cholesky, never regularizing.

@@ -12,6 +12,12 @@ Carlo runs: one prediction, then one m x m innovation inverse. The map is
 convex in p, concave and monotone in X, and for a detectable pair (C_p, A)
 the iteration has a unique fixed point independent of the starting
 covariance.
+
+``L_infinity`` finds that fixed point by iterating the map from a given
+start, the reference method. ``_doubling`` solves the same Riccati
+equation by structure-preserving doubling, which needs no start and
+converges quadratically; the exhaustive baseline runs its candidates
+through it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import UNIT_CIRCLE_MARGIN, covariance_update, pbh_observable, predict, symmetrize
-from .errors import DimensionMismatch, Diverged, InvalidInput, MaxIterations
+from .errors import DimensionMismatch, Diverged, InvalidInput, MaxIterations, SingularMatrix
 from .model import LinearSystem, as_marginals
 
 FIXED_POINT_TOL = 1e-10
@@ -86,6 +92,63 @@ def _fixed_point(sys: LinearSystem, X0: np.ndarray, p: np.ndarray) -> np.ndarray
         L = L_next
     raise MaxIterations(
         f"no fixed point within {FIXED_POINT_MAX_ITER} iterations at tolerance {FIXED_POINT_TOL:g}"
+    )
+
+
+def _doubling(sys: LinearSystem, p: np.ndarray) -> np.ndarray:
+    """The fixed points of L(., p) for a (B, m) stack whose rows are checked and
+    detectable, by structure-preserving doubling (Chu, Fan & Lin, 2005).
+
+    The predicted covariance M = A L A^T + Q of a fixed point L solves
+
+        M = A M (I + G M)^{-1} A^T + Q,   G = C_p^T R^{-1} C_p.
+
+    From A_0 = A^T, G_0 = G and H_0 = Q, with W = I + G_k H_k,
+
+        A_{k+1} = A_k W^{-1} A_k,
+        G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
+        H_{k+1} = H_k + A_k^T H_k W^{-1} A_k,
+
+    and H_k is the 2^k-th iterate of the prediction map from 0: it converges
+    quadratically, in about ten steps where the iteration takes hundreds.
+    A row leaves the stack on ``_fixed_point``'s test applied to H, and its
+    fixed point is the measurement update of its H. W is not symmetric, so
+    W^{-1} is applied with ``np.linalg.solve``. The cap of
+    FIXED_POINT_MAX_ITER.bit_length() steps covers as many iterates as the
+    plain iteration's cap and raises MaxIterations; a non-finite W or H
+    raises Diverged, and a singular W raises SingularMatrix.
+    """
+    C = np.sqrt(p)[:, :, None] * sys.C  # (B, m, n) weighted rows
+    G = symmetrize((C.swapaxes(1, 2) / sys.r) @ C)
+    H = np.repeat(sys.Q[None], len(p), axis=0)
+    A = np.repeat(sys.A.T[None], len(p), axis=0)
+    out = np.empty_like(H)
+    live = np.arange(len(p))  # the rows of out that A, G, H and C still hold
+    for k in range(FIXED_POINT_MAX_ITER.bit_length()):
+        W = np.eye(sys.n) + G @ H
+        if not np.all(np.isfinite(W)):
+            raise Diverged(f"doubling step {k + 1} left the floating-point range")
+        try:
+            WA, WG = np.split(np.linalg.solve(W, np.concatenate([A, G], axis=2)), 2, axis=2)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(f"doubling step {k + 1}: I + G H is singular") from exc
+        H_next = symmetrize(H + A.swapaxes(1, 2) @ H @ WA)
+        if not np.all(np.isfinite(H_next)):
+            raise Diverged(f"doubling step {k + 1} left the floating-point range")
+        step = np.linalg.norm(H_next - H, axis=(1, 2))
+        done = step <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(H_next, axis=(1, 2)))
+        if done.any():
+            out[live[done]] = covariance_update(H_next[done], C[done], sys.r)
+            keep = ~done
+            live, H_next, C, A, G, WA, WG = (x[keep] for x in (live, H_next, C, A, G, WA, WG))
+        if not live.size:
+            return out
+        G = symmetrize(G + A @ WG @ A.swapaxes(1, 2))
+        A = A @ WA
+        H = H_next
+    raise MaxIterations(
+        f"doubling did not converge within {FIXED_POINT_MAX_ITER.bit_length()} steps "
+        f"at tolerance {FIXED_POINT_TOL:g}"
     )
 
 

@@ -14,7 +14,7 @@ from ._linalg import spd_inverse, symmetrize
 from .baseline import best_deterministic, enumerate_subtrees
 from .decompose import decompose, marginals_of
 from .errors import OrderingViolated
-from .lowerbound import L_infinity, L_step, bound_sequence
+from .lowerbound import L_infinity, L_step, _doubling, bound_sequence, detectable_schedule
 from .model import (
     LinearSystem,
     SensorTree,
@@ -204,6 +204,20 @@ def check_fixed_point_start_independent(samples: int = 10, seed: int = 16) -> No
         hi = L_infinity(sys, 100.0 * np.eye(n), p)
         gap = np.linalg.norm(lo - hi, "fro") / max(np.linalg.norm(lo, "fro"), 1e-300)
         assert gap <= 1e-8, f"fixed point start-dependent, rel gap {gap:g} (sample {k})"
+
+
+def check_doubling_matches_iteration(samples: int = 10, seed: int = 28) -> None:
+    """Doubling reaches the plain iteration's fixed point on stacks of random
+    detectable schedules, within the iteration's own 1e-8 stop error."""
+    rng = np.random.default_rng(seed)
+    for k in range(samples):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        sys = random_system(rng, n, m)
+        P = rng.uniform(0.0, 1.0, (4, m))
+        P = P[[detectable_schedule(sys, p) for p in P]]
+        got, want = _doubling(sys, P), L_infinity(sys, sys.Sigma0, P)
+        gap = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.all(gap <= 1e-8), f"doubling off the iteration by {gap.max():g} (sample {k})"
 
 
 def check_sample_path_reproducible(seed: int = 17) -> None:
@@ -447,6 +461,7 @@ CHECKS = (
     ("bound-concave-monotone-in-X", check_bound_concave_monotone_in_X),
     ("inverse-convex-prediction-concave", check_inverse_convex_prediction_concave),
     ("fixed-point-start-independent", check_fixed_point_start_independent),
+    ("doubling-matches-iteration", check_doubling_matches_iteration),
     ("sample-path-reproducible", check_sample_path_reproducible),
     ("polytope-convex", check_polytope_convex),
     ("projection-idempotent-nonexpansive", check_projection_properties),

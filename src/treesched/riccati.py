@@ -155,7 +155,9 @@ def _mean_and_stderr(
     trials: int,
     seed: int,
 ):
-    """Monte Carlo (mean, stderr) pairs of the per-step traces and of the final P."""
+    """Monte Carlo (mean, stderr) pairs of the per-step traces and of the final P;
+    InvalidInput for a ``trials`` that is not an integer or is below 2."""
+    trials = as_integer(trials, "trials")
     if trials < 2:
         raise InvalidInput("trials must be >= 2 to estimate a standard error")
     _, traces, P = _propagate(sys, tree, dist, steps, seed, trials)
@@ -205,11 +207,15 @@ def asymptotic_expected_trace(
     """Estimate the limiting expected trace of P_k under a fixed schedule.
 
     Averages the Monte Carlo per-step means over steps in (burn_in, horizon].
-    Raises Diverged up front when no support tree with positive probability
-    makes (C_T, A) detectable, and at runtime when the mean trace grows
-    beyond DIVERGENCE_FACTOR * trace(Sigma0) (a detectable support tree is
-    necessary but not sufficient for stability).
+    ``burn_in``, ``horizon`` and ``trials`` are read as integers
+    (``model.as_integer``); InvalidInput unless 0 <= burn_in < horizon and
+    trials >= 1. Raises Diverged up front when no support tree with
+    positive probability makes (C_T, A) detectable, and at runtime when the
+    mean trace grows beyond DIVERGENCE_FACTOR * trace(Sigma0) (a detectable
+    support tree is necessary but not sufficient for stability).
     """
+    burn_in, horizon = as_integer(burn_in, "burn_in"), as_integer(horizon, "horizon")
+    trials = as_integer(trials, "trials")
     if not (0 <= burn_in < horizon) or trials < 1:
         raise InvalidInput("need 0 <= burn_in < horizon and trials >= 1")
     if not any(

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: fixed
 points come from the scalar quadratic, expectations from propagating a
 discretized value distribution, optima from brute-force grid search,
 spanning trees from exhaustive edge-subset enumeration, baseline rows
-from one single-schedule ``L_infinity`` call per candidate instead of the
-stacked blocks of ``best_deterministic``, and protocol rounds from the node
+from one one-row ``_doubling`` call per candidate instead of the stacked
+blocks of ``best_deterministic``, and protocol rounds from the node
 walk run afresh every round instead of ``simulate_run``'s reuse of it.
 """
 
@@ -18,8 +18,7 @@ import numpy as np
 
 from treesched.baseline import enumerate_subtrees
 from treesched.decompose import realizable_marginals
-from treesched.errors import Diverged
-from treesched.lowerbound import L_infinity
+from treesched.lowerbound import _doubling, detectable_schedule
 from treesched.model import indicator, tree_energy
 from treesched.properties import random_system, random_tree
 from treesched.protocol import build_nodes, simulate_round
@@ -283,15 +282,46 @@ def criterion2_instance(k: int):
     return sys, tree, budget
 
 
+def criterion3_instances() -> list:
+    """The 20 (system, p) pairs of acceptance criterion 3, drawn from
+    default_rng(31) exactly as the criterion draws them."""
+    rng = np.random.default_rng(31)
+    out = []
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 9))
+        sys = random_system(rng, n, m)
+        out.append((sys, rng.uniform(0.2, 1.0, m)))
+    return out
+
+
+def tight_fixed_points(sys, P: np.ndarray, tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
+    """Fixed points of the mean map for a (B, m) stack of detectable weights,
+    iterated from Sigma0 in the textbook information form
+    inv(inv(A X A^T + Q) + sum_i p_i c_i^T c_i / r_i) until a step changes X
+    by at most tol * (1 + ||X||_F), far below the package's 1e-10 stop."""
+    info = np.einsum("bi,ij,ik->bjk", P / sys.r, sys.C, sys.C)
+    X = np.repeat(np.asarray(sys.Sigma0, dtype=float)[None], len(P), axis=0)
+    out = np.empty_like(X)
+    live = np.arange(len(P))
+    for _ in range(max_iter):
+        X_next = np.linalg.inv(np.linalg.inv(sys.A @ X @ sys.A.T + sys.Q) + info)
+        X_next = 0.5 * (X_next + X_next.swapaxes(1, 2))
+        done = np.linalg.norm(X_next - X, axis=(1, 2)) <= tol * (1.0 + np.linalg.norm(X_next, axis=(1, 2)))
+        out[live[done]] = X_next[done]
+        live, X, info = live[~done], X_next[~done], info[~done]
+        if not live.size:
+            return out
+    raise AssertionError(f"{live.size} rows did not reach tolerance {tol:g}")
+
+
 def per_candidate_rows(sys, tree, budget) -> tuple:
-    """``best_deterministic``'s candidate rows, one ``L_infinity`` call per
-    affordable subtree; an undetectable one gets trace None."""
+    """``best_deterministic``'s candidate rows, one ``_doubling`` call on a
+    one-row stack per affordable subtree; an undetectable one gets trace None."""
     rows = []
     for members in enumerate_subtrees(tree, budget):
-        try:
-            tr = float(np.trace(L_infinity(sys, sys.Sigma0, indicator(members, sys.m))))
-        except Diverged:
-            tr = None
+        w = indicator(members, sys.m)
+        tr = float(np.trace(_doubling(sys, w[None])[0])) if detectable_schedule(sys, w) else None
         rows.append((tuple(sorted(members)), tree_energy(tree, members), tr))
     return tuple(rows)
 

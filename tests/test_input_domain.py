@@ -1,6 +1,7 @@
 """Input domain: NaN, +-inf and wrong shapes sent to any public array
 argument raise a named SchedulingError; membership predicates answer False;
-seeds and lengths of the seeded samplers are integers or InvalidInput."""
+seeds, lengths and trial counts of the seeded samplers are integers or
+InvalidInput."""
 
 import math
 
@@ -15,9 +16,12 @@ from treesched import (
     SensorTree,
     TreeDistribution,
     as_marginals,
+    asymptotic_expected_trace,
     bound_sequence,
     contains,
     decompose,
+    expected_P,
+    expected_trace_curve,
     feasibility_of_marginals,
     g_T,
     project,
@@ -109,17 +113,25 @@ def test_membership_predicates_answer_false():
 
 DIST = TreeDistribution((frozenset(), frozenset({1, 2})), [0.5, 0.5])
 
-# (argument, call with the argument): seeds, round and step counts of the seeded samplers
+WINDOW = dict(burn_in=1, horizon=4, trials=3, seed=0)
+
+# (argument, call with the argument): seeds, round, step and trial counts of the seeded samplers
 INTEGER_ARGUMENTS = [
     ("simulate_run.seed", lambda v: simulate_run(TREE, P, seed=v, rounds=3)),
     ("simulate_run.rounds", lambda v: simulate_run(TREE, P, seed=1, rounds=v)),
     ("sample_path.seed", lambda v: sample_path(SYSTEM, TREE, DIST, seed=v, steps=3)),
     ("sample_path.steps", lambda v: sample_path(SYSTEM, TREE, DIST, seed=1, steps=v)),
+    ("expected_trace_curve.trials", lambda v: expected_trace_curve(SYSTEM, TREE, DIST, steps=3, trials=v, seed=0)),
+    ("expected_P.trials", lambda v: expected_P(SYSTEM, TREE, DIST, step=3, trials=v, seed=0)),
+    *(
+        (f"asymptotic_expected_trace.{k}", lambda v, k=k: asymptotic_expected_trace(SYSTEM, TREE, DIST, **{**WINDOW, k: v}))
+        for k in ("burn_in", "horizon", "trials")
+    ),
 ]
 
 
 @pytest.mark.parametrize("name, call", INTEGER_ARGUMENTS, ids=[name for name, _ in INTEGER_ARGUMENTS])
-@pytest.mark.parametrize("bad", [1.5, np.float64(2.5), True, np.True_, "five", None], ids=repr)
+@pytest.mark.parametrize("bad", [1.5, 2.5, np.float64(2.5), True, np.True_, "five", None], ids=repr)
 def test_seed_and_length_must_be_integers(name, call, bad):
     """A fractional or boolean seed is not silently truncated to another
     seed, and a non-number is an InvalidInput rather than a TypeError."""
@@ -133,3 +145,13 @@ def test_integral_seed_and_length_read_as_integers():
     assert run.rounds == 5 and run.tree_counts == simulate_run(TREE, P, seed=1, rounds=5).tree_counts
     path = sample_path(SYSTEM, TREE, DIST, seed="1", steps=4.0)
     assert np.array_equal(path.traces, sample_path(SYSTEM, TREE, DIST, seed=1, steps=4).traces)
+
+
+def test_integral_trial_counts_read_as_integers():
+    """"5" and 5.0 trials give the run of 5 trials; so do burn-in and horizon."""
+    curve = expected_trace_curve(SYSTEM, TREE, DIST, steps=3, trials=5, seed=0)
+    for trials in ("5", 5.0, np.int64(5)):
+        got = expected_trace_curve(SYSTEM, TREE, DIST, steps=3, trials=trials, seed=0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, curve))
+    level = asymptotic_expected_trace(SYSTEM, TREE, DIST, burn_in=1, horizon=4, trials=5, seed=0)
+    assert asymptotic_expected_trace(SYSTEM, TREE, DIST, burn_in="1", horizon=4.0, trials="5", seed=0) == level

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scalar_fixed_point
+from oracles import criterion2_instance, criterion3_instances, scalar_fixed_point, tight_fixed_points
 from treesched import lowerbound
 from treesched._linalg import covariance_update, predict, symmetrize
+from treesched.baseline import enumerate_subtrees
 from treesched.errors import Diverged, MaxIterations
-from treesched.lowerbound import L_infinity, L_step, bound_sequence, detectable_schedule
-from treesched.model import LinearSystem
+from treesched.lowerbound import L_infinity, L_step, _doubling, bound_sequence, detectable_schedule
+from treesched.model import LinearSystem, indicator
 from treesched.properties import (
     check_bound_concave_monotone_in_X,
+    check_doubling_matches_iteration,
     check_expected_covariance_dominates_bound,
     check_fixed_point_start_independent,
     check_inverse_convex_prediction_concave,
@@ -171,6 +173,81 @@ class TestLInfinityStack:
 
     def test_empty_stack(self, scalar_system):
         assert L_infinity(scalar_system, [[1.0]], np.zeros((0, 1))).shape == (0, 1, 1)
+
+
+def relative_gaps(got, want):
+    """Per-row relative Frobenius distance of two (B, n, n) stacks."""
+    return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+
+
+class TestDoubling:
+    def test_matches_iteration_from_zero_and_100I_on_criterion3(self):
+        # L_infinity stops when a step moves L by 1e-10 relative, so it sits
+        # further than that from its limit on slowly contracting rows. The
+        # bound is criterion 3's on the gap between these two starts, 1e-8
+        # relative Frobenius. Measured worst here: 4.3e-10.
+        for k, (sys, p) in enumerate(criterion3_instances()):
+            got = _doubling(sys, p[None])
+            for X0 in (np.zeros((sys.n, sys.n)), 100.0 * np.eye(sys.n)):
+                gap = relative_gaps(got, L_infinity(sys, X0, p)[None])[0]
+                assert gap <= 1e-8, f"instance {k}: relative gap {gap:g}"
+
+    def test_matches_tight_reference_on_criterion2_family(self):
+        # Every detectable affordable tree of the 20 instances (7,249 rows)
+        # against an information-form iteration stopped at 1e-14. Measured
+        # worst: 8.4e-13 relative; the 1e-10-stop iteration is 6e-9 off.
+        for k in range(20):
+            sys, tree, budget = criterion2_instance(k)
+            weights = [indicator(members, sys.m) for members in enumerate_subtrees(tree, budget)]
+            P = np.reshape([w for w in weights if detectable_schedule(sys, w)], (-1, sys.m))
+            gap = relative_gaps(_doubling(sys, P), tight_fixed_points(sys, P)).max()
+            assert gap <= 1e-11, f"instance {k}: relative gap {gap:g}"
+
+    def test_stack_rows_equal_single_calls(self, rng, monkeypatch):
+        sizes = []
+
+        def recording_update(M, C, r):
+            sizes.append(len(M))
+            return covariance_update(M, C, r)
+
+        for k in range(6):
+            sys = random_system(rng, 4, int(rng.integers(1, 5)))
+            P = TestLInfinityStack.schedules(rng, sys, 16)
+            monkeypatch.setattr(lowerbound, "covariance_update", recording_update)
+            sizes.clear()
+            stack = _doubling(sys, P)
+            monkeypatch.undo()
+            assert len(sizes) >= 2, f"instance {k}: every row left the stack at one step"
+            for b in range(len(P)):
+                assert np.array_equal(stack[b], _doubling(sys, P[b : b + 1])[0]), f"instance {k} row {b}"
+
+    def test_scalar_fixed_points(self, scalar_system):
+        got = _doubling(scalar_system, np.array([[1.0], [0.5], [0.25]]))
+        want = [scalar_fixed_point(1, 1, 1, 1, s) for s in (1.0, 0.5, 0.25)]
+        assert got[:, 0, 0] == pytest.approx(want, rel=1e-13)
+
+    def test_step_cap_raises(self, scalar_system, monkeypatch):
+        # The cap is FIXED_POINT_MAX_ITER.bit_length() steps: H_k is the
+        # 2^k-th iterate, so the default 17 steps cover the plain cap of 10^5.
+        assert lowerbound.FIXED_POINT_MAX_ITER.bit_length() == 17
+        monkeypatch.setattr("treesched.lowerbound.FIXED_POINT_MAX_ITER", 3)
+        with pytest.raises(MaxIterations):
+            _doubling(scalar_system, np.array([[1.0]]))
+        with pytest.raises(MaxIterations):
+            _doubling(scalar_system, np.array([[1.0], [0.5]]))
+
+    @pytest.mark.parametrize("field", ["A", "C"])
+    def test_overflow_raises_diverged(self, field):
+        # A huge A overflows H at the first step, a huge C overflows G and so W.
+        # numpy's overflow warnings are silenced here so that the named error,
+        # not the warning that pytest turns into an exception, is what is tested.
+        arrays = dict(A=[[1.0]], Q=[[1.0]], C=[[1.0]], r=[1.0], Sigma0=[[1.0]])
+        sys = LinearSystem(**{**arrays, field: [[1e200]]})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="floating-point range"):
+            _doubling(sys, np.array([[1.0]]))
+
+    def test_property_version(self):
+        check_doubling_matches_iteration(samples=20, seed=29)
 
 
 class TestBoundSequence:
