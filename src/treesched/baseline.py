@@ -3,13 +3,11 @@
 A deterministic schedule repeats one transmission tree forever, so the
 search space is the set of parent-closed sensor subsets whose energy fits
 the per-round budget. Each candidate's steady-state covariance solves a
-discrete algebraic Riccati equation, and the candidates are solved in
-blocks: ``lowerbound._doubling`` runs once per block of detectable
-candidates, each leaving the stack at its own fixed point, in about ten
-doubling steps where the plain iteration (``L_infinity``, the reference
-with an explicit start) takes a few hundred. The best tree minimizes the
-fixed-point trace. Intended as a desk-scale comparison target, hence the
-hard cap on the enumeration size.
+discrete algebraic Riccati equation. ``lowerbound._doubling`` solves each
+block of detectable candidates in about ten doubling steps, where the
+one-schedule reference iteration ``L_infinity`` takes a few hundred per
+candidate. The best tree minimizes the fixed-point trace. Intended as a
+desk-scale comparison target, hence the hard cap on the enumeration size.
 """
 
 from __future__ import annotations

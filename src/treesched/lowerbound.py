@@ -13,11 +13,11 @@ convex in p, concave and monotone in X, and for a detectable pair (C_p, A)
 the iteration has a unique fixed point independent of the starting
 covariance.
 
-``L_infinity`` finds that fixed point by iterating the map from a given
-start, the reference method. ``_doubling`` solves the same Riccati
-equation by structure-preserving doubling, which needs no start and
-converges quadratically; the exhaustive baseline runs its candidates
-through it.
+``L_infinity`` finds that fixed point for one schedule by iterating the
+map from a given start, the reference method. ``_doubling`` solves the same
+Riccati equation for a stack of schedules by structure-preserving doubling,
+which needs no start and converges quadratically; the exhaustive baseline
+runs its candidates through it.
 """
 
 from __future__ import annotations
@@ -55,40 +55,29 @@ def detectable_schedule(sys: LinearSystem, p) -> bool:
 
 
 def L_infinity(sys: LinearSystem, X0: np.ndarray, p) -> np.ndarray:
-    """Iterate L(., p) from X0 to its fixed point, for one schedule or a stack.
+    """Iterate L(., p) from X0 to the fixed point of one schedule p of shape (m,).
 
-    p of shape (m,) gives the (n, n) fixed point; a stack of shape (B, m)
-    gives (B, n, n), every row checked as ``as_marginals`` checks one
-    schedule. Detectability of each (C_p, A) is checked first; an
-    undetectable row raises Diverged without iterating. Every row starts
-    from X0 and leaves the stack when its Frobenius change falls below
-    FIXED_POINT_TOL * (1 + ||L||_F), so a row's fixed point has the bits it
-    has when iterated alone. Hitting the cap of FIXED_POINT_MAX_ITER
-    iterations raises MaxIterations (near-marginal detectability).
+    A stack of schedules raises DimensionMismatch (``_doubling`` solves
+    stacks), and an undetectable (C_p, A) raises Diverged before any step.
+    The loop stops when a step moves L by at most FIXED_POINT_TOL *
+    (1 + ||L||_F). That bounds the step, not the distance to the limit:
+    slowly contracting schedules stop up to 1.4e-8 relative from it (random
+    156 of the baseline winner test), where ``_doubling`` lands within
+    2.2e-13. A non-finite step raises Diverged at once, and the cap of
+    FIXED_POINT_MAX_ITER iterations raises MaxIterations.
     """
-    stacked = np.ndim(p) == 2
-    rows = [as_marginals(w, sys.m) for w in (p if stacked else [p])]
-    if not all(detectable_schedule(sys, w) for w in rows):
+    p = as_marginals(p, sys.m)
+    if not detectable_schedule(sys, p):
         raise Diverged("(C_p, A) is not detectable; the iteration has no bounded limit")
-    out = _fixed_point(sys, as_covariance(sys, X0), np.reshape(rows, (-1, sys.m)))
-    return out if stacked else out[0]
-
-
-def _fixed_point(sys: LinearSystem, X0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The loop of L_infinity on a (B, m) stack whose rows are checked and detectable."""
-    C = np.sqrt(p)[:, :, None] * sys.C  # (B, m, n) weighted rows
-    L = np.repeat(symmetrize(X0)[None], len(p), axis=0)
-    out = np.empty_like(L)
-    live = np.arange(len(p))  # the rows of out that L and C still iterate
-    for _ in range(FIXED_POINT_MAX_ITER):
+    C = np.sqrt(p)[:, None] * sys.C
+    L = symmetrize(as_covariance(sys, X0))
+    for k in range(FIXED_POINT_MAX_ITER):
         L_next = covariance_update(predict(sys.A, sys.Q, L), C, sys.r)
-        step = np.linalg.norm(L_next - L, axis=(1, 2))
-        done = step <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L_next, axis=(1, 2)))
-        if done.any():
-            out[live[done]] = L_next[done]
-            live, L_next, C = live[~done], L_next[~done], C[~done]
-        if not live.size:
-            return out
+        step = np.linalg.norm(L_next - L)
+        if not np.isfinite(step):
+            raise Diverged(f"iteration {k + 1} left the floating-point range")
+        if step <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(L_next)):
+            return L_next
         L = L_next
     raise MaxIterations(
         f"no fixed point within {FIXED_POINT_MAX_ITER} iterations at tolerance {FIXED_POINT_TOL:g}"
@@ -111,12 +100,13 @@ def _doubling(sys: LinearSystem, p: np.ndarray) -> np.ndarray:
 
     and H_k is the 2^k-th iterate of the prediction map from 0: it converges
     quadratically, in about ten steps where the iteration takes hundreds.
-    A row leaves the stack on ``_fixed_point``'s test applied to H, and its
-    fixed point is the measurement update of its H. W is not symmetric, so
-    W^{-1} is applied with ``np.linalg.solve``. The cap of
-    FIXED_POINT_MAX_ITER.bit_length() steps covers as many iterates as the
-    plain iteration's cap and raises MaxIterations; a non-finite W or H
-    raises Diverged, and a singular W raises SingularMatrix.
+    A row leaves the stack when a step moves its H by at most
+    FIXED_POINT_TOL * (1 + ||H||_F), and its fixed point is the measurement
+    update of its H. W is not symmetric, so W^{-1} is applied with
+    ``np.linalg.solve``. The cap of FIXED_POINT_MAX_ITER.bit_length() steps
+    covers as many iterates as the plain iteration's cap and raises
+    MaxIterations; a non-finite W or H raises Diverged, and a singular W
+    raises SingularMatrix.
     """
     C = np.sqrt(p)[:, :, None] * sys.C  # (B, m, n) weighted rows
     G = symmetrize((C.swapaxes(1, 2) / sys.r) @ C)

@@ -120,10 +120,9 @@ def winner_instances():
 def iterated_ranking(sys, tree, budget) -> list:
     """(trace, energy, members) of every detectable affordable tree, best
     first by best_deterministic's rule, with traces from one L_infinity call
-    from Sigma0 on the stack of candidates."""
+    from Sigma0 per candidate."""
     candidates = [c for c in enumerate_subtrees(tree, budget) if detectable_schedule(sys, indicator(c, sys.m))]
-    P = np.reshape([indicator(c, sys.m) for c in candidates], (-1, sys.m))
-    traces = np.trace(L_infinity(sys, sys.Sigma0, P), axis1=1, axis2=2)
+    traces = [np.trace(L_infinity(sys, sys.Sigma0, indicator(c, sys.m))) for c in candidates]
     return sorted((float(tr), tree_energy(tree, c), tuple(sorted(c))) for tr, c in zip(traces, candidates))
 
 

@@ -60,8 +60,14 @@ class TestLInfinity:
         monkeypatch.setattr("treesched.lowerbound.FIXED_POINT_MAX_ITER", 3)
         with pytest.raises(MaxIterations):
             L_infinity(scalar_system, [[50.0]], [1.0])
-        with pytest.raises(MaxIterations):
-            L_infinity(scalar_system, [[50.0]], [[1.0], [0.5]])
+
+    def test_overflow_raises_diverged(self):
+        # A huge unstable mode seen through a tiny C overflows the first
+        # prediction; the iteration stops there instead of running to its cap.
+        # numpy's overflow warnings are silenced as in TestDoubling's test.
+        sys = LinearSystem(A=[[1e200]], Q=[[1.0]], C=[[1e-200]], r=[1.0], Sigma0=[[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="floating-point range"):
+            L_infinity(sys, sys.Sigma0, [1.0])
 
     def test_limit_independent_of_start_random_4x4(self, rng):
         for k in range(20):
@@ -74,7 +80,7 @@ class TestLInfinity:
 
 
 def plain_iteration(sys, X0, p):
-    """The fixed-point loop on one (n, n) matrix, with no stack around it."""
+    """The fixed-point loop written out apart from L_infinity, to pin its bits."""
     C = np.sqrt(p)[:, None] * sys.C
     L = symmetrize(np.asarray(X0, dtype=float))
     for _ in range(lowerbound.FIXED_POINT_MAX_ITER):
@@ -140,39 +146,12 @@ class TestLInfinityStack:
         return P[[detectable_schedule(sys, w) for w in P]]
 
     @pytest.mark.parametrize("which", STARTS)
-    def test_stack_rows_equal_single_calls(self, rng, monkeypatch, which):
-        sizes = []
-
-        def recording_update(M, C, r):
-            sizes.append(len(M))
-            return covariance_update(M, C, r)
-
-        for k in range(6):
-            sys = random_system(rng, 4, int(rng.integers(1, 5)))
-            P, X0 = self.schedules(rng, sys, 16), self.start(sys, which)
-            monkeypatch.setattr(lowerbound, "covariance_update", recording_update)
-            sizes.clear()
-            stack = L_infinity(sys, X0, P)
-            monkeypatch.undo()
-            assert stack.shape == (len(P), 4, 4)
-            assert len(set(sizes)) >= 3, f"instance {k}: rows left the stack at {set(sizes)} sizes only"
-            for b, w in enumerate(P):
-                assert np.array_equal(stack[b], L_infinity(sys, X0, w)), f"instance {k} row {b}"
-
-    @pytest.mark.parametrize("which", STARTS)
     def test_single_schedule_equals_plain_iteration(self, rng, which):
         for k in range(6):
             sys = random_system(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
             X0 = self.start(sys, which)
             for w in self.schedules(rng, sys, 4):
                 assert np.array_equal(L_infinity(sys, X0, w), plain_iteration(sys, X0, w)), f"instance {k}"
-
-    def test_one_undetectable_row_raises(self, scalar_system):
-        with pytest.raises(Diverged):
-            L_infinity(scalar_system, [[1.0]], [[1.0], [0.5], [0.0], [0.9]])
-
-    def test_empty_stack(self, scalar_system):
-        assert L_infinity(scalar_system, [[1.0]], np.zeros((0, 1))).shape == (0, 1, 1)
 
 
 def relative_gaps(got, want):
