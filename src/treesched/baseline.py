@@ -31,17 +31,14 @@ _BLOCK = 32
 def count_subtrees(tree: SensorTree) -> int:
     """Number of parent-closed subsets (including the empty one).
 
-    Computed by the product rule: a node's branch contributes one more than
-    the product of its children's counts once the node itself is included.
+    Computed leaves first by the product rule: once a sensor is included,
+    each child branch is either left out or one of its own choices, so the
+    sensor multiplies its parent's count by one plus its own.
     """
-
-    def rooted(node: int) -> int:
-        total = 1
-        for c in tree.children_of(node):
-            total *= 1 + rooted(c)
-        return total
-
-    return math.prod(1 + rooted(c) for c in tree.children_of(0))
+    count = [1] * (tree.m + 1)
+    for i in reversed(tree.root_first):
+        count[tree.parent_of(i)] *= 1 + count[i]
+    return count[0]
 
 
 def enumerate_subtrees(tree: SensorTree, budget: float = math.inf) -> list:
@@ -57,27 +54,18 @@ def enumerate_subtrees(tree: SensorTree, budget: float = math.inf) -> list:
             f"tree admits more than {MAX_TREES} transmission subtrees"
         )
 
-    def options(node: int) -> list:
-        # All (members, energy) choices for the branch at `node`, given that
-        # `node` itself is selected; the fusion center (node 0) is always
-        # selected and costs nothing. Positive costs make budget pruning safe.
-        if node == 0:
-            out = [(frozenset(), 0.0)]
-        else:
-            out = [(frozenset([node]), tree.cost_of(node))]
-        for c in tree.children_of(node):
-            child_opts = options(c)
-            grown = []
-            for mem, en in out:
-                grown.append((mem, en))
-                for cm, ce in child_opts:
-                    if en + ce <= budget:
-                        grown.append((mem | cm, en + ce))
-            out = grown
-        return out
-
-    members = [mem for mem, en in options(0) if en <= budget]
-    return sorted(members, key=lambda s: (len(s), sorted(s)))
+    # Root first, each sensor joins every set so far that holds its parent
+    # (or hangs off the fusion center), so each closed set is built once.
+    # Positive costs make budget pruning safe.
+    sets = [(frozenset(), 0.0)]
+    for i in tree.root_first:
+        parent, cost = tree.parent_of(i), tree.cost_of(i)
+        sets += [
+            (mem | {i}, en + cost)
+            for mem, en in sets
+            if (parent == 0 or parent in mem) and en + cost <= budget
+        ]
+    return sorted((mem for mem, _ in sets), key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)

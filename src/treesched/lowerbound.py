@@ -49,8 +49,11 @@ def L_step(sys: LinearSystem, X: np.ndarray, p) -> np.ndarray:
 
 
 def detectable_schedule(sys: LinearSystem, p) -> bool:
-    """PBH detectability of the mean-weighted pair (C_p, A), C_p with rows sqrt(p_i) C_i."""
-    p = as_marginals(p, sys.m)
+    """PBH detectability of the mean-weighted pair (C_p, A), C_p with rows sqrt(p_i) C_i.
+
+    p must already be checked marginals of shape (m,), as ``as_marginals``
+    or ``indicator`` return; it is not checked again here.
+    """
     return pbh_observable(sys.A, sys.eigvals, np.sqrt(p)[:, None] * sys.C, 1.0 - UNIT_CIRCLE_MARGIN)
 
 

@@ -1,5 +1,6 @@
 """Exhaustive deterministic-schedule search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -36,12 +37,30 @@ class TestEnumerate:
             assert count_subtrees(tree) == len(enumerate_subtrees(tree))
 
     def test_all_enumerated_sets_valid_and_within_budget(self, rng):
+        # The enumeration against a sweep over all 2^m subsets, in its order.
         for _ in range(20):
-            tree = random_tree(rng, int(rng.integers(1, 10)))
-            budget = float(rng.uniform(0.3, 1.0)) * float(tree.cost.sum())
-            for members in enumerate_subtrees(tree, budget):
-                assert is_valid_subtree(tree, members)
-                assert tree_energy(tree, members) <= budget + 1e-12
+            tree = random_tree(rng, int(rng.integers(1, 11)))
+            closed = [
+                frozenset(c)
+                for k in range(tree.m + 1)
+                for c in itertools.combinations(range(1, tree.m + 1), k)
+                if is_valid_subtree(tree, c)
+            ]
+            share = float(rng.uniform(0.3, 1.0)) * float(tree.cost.sum())
+            for budget in (0.0, share, math.inf):
+                expected = [s for s in closed if tree_energy(tree, s) <= budget]
+                assert enumerate_subtrees(tree, budget) == sorted(expected, key=lambda s: (len(s), sorted(s)))
+
+    def test_deep_chain(self):
+        # A chain deeper than the interpreter's default recursion limit.
+        chain = SensorTree(parent=list(range(1500)), cost=[1.0] * 1500)
+        assert count_subtrees(chain) == 1501
+        assert enumerate_subtrees(chain, 3.0) == [
+            frozenset(),
+            frozenset({1}),
+            frozenset({1, 2}),
+            frozenset({1, 2, 3}),
+        ]
 
     def test_too_many_trees_guard(self):
         tree = SensorTree(parent=[0] * 24, cost=[1.0] * 24)  # 2^24 subsets

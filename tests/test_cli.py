@@ -306,6 +306,17 @@ class TestBaselineDiffusion:
         assert any(tr is None for _, _, tr in rows)
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
+    def test_deep_chain(self, tmp_path, capsys):
+        # A chain deeper than the interpreter's default recursion limit.
+        model, m = tmp_path / "chain.json", 1200
+        save_model(
+            model,
+            LinearSystem(A=[[1.0]], Q=[[1.0]], C=np.ones((m, 1)), r=np.ones(m), Sigma0=[[1.0]]),
+            SensorTree(parent=list(range(m)), cost=np.ones(m)),
+        )
+        assert main(["baseline", str(model), "--budget", "3"]) == 0
+        assert "members 1;2;3\n" in capsys.readouterr().out
+
     def test_diffusion_generates_model(self, tmp_path, capsys):
         model = tmp_path / "diff.json"
         pos = tmp_path / "pos.csv"
