@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import Diverged, InvalidBudget, TooManyTrees
 from .lowerbound import L_infinity, _doubling, detectable_schedule  # noqa: F401 (traced by perfbench)
-from .model import LinearSystem, SensorTree, indicator, tree_energy
+from .model import LinearSystem, SensorTree, _energy, check_sensor_counts, indicator
 
 MAX_TREES = 10**6
 
@@ -50,9 +50,7 @@ def enumerate_subtrees(tree: SensorTree, budget: float = math.inf) -> list:
     if not budget >= 0.0:  # also rejects NaN
         raise InvalidBudget(f"energy budget must be nonnegative, got {budget!r}")
     if count_subtrees(tree) > MAX_TREES:
-        raise TooManyTrees(
-            f"tree admits more than {MAX_TREES} transmission subtrees"
-        )
+        raise TooManyTrees(f"tree admits more than {MAX_TREES} transmission subtrees")
 
     # Root first, each sensor joins every set so far that holds its parent
     # (or hangs off the fusion center), so each closed set is built once.
@@ -81,8 +79,10 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
 
     Candidates whose (C_T, A) is undetectable are skipped (their recursion
     diverges); ties break toward lower energy, then lexicographic members.
-    Raises Diverged when no affordable candidate is detectable.
+    Raises Diverged when no affordable candidate is detectable, and
+    DimensionMismatch when the tree and the system count different sensors.
     """
+    check_sensor_counts(sys, tree)
     candidates = enumerate_subtrees(tree, budget)
     rows = []
     for start in range(0, len(candidates), _BLOCK):
@@ -92,7 +92,7 @@ def best_deterministic(sys: LinearSystem, tree: SensorTree, budget: float) -> De
         stack = np.reshape([w for w, ok in zip(weights, detectable) if ok], (-1, sys.m))
         traces = iter([float(np.trace(P)) for P in _doubling(sys, stack)])
         rows.extend(
-            (tuple(sorted(members)), tree_energy(tree, members), next(traces) if ok else None)
+            (tuple(sorted(members)), _energy(tree, members), next(traces) if ok else None)
             for members, ok in zip(block, detectable)
         )
     ranked = [(tr, energy, members) for members, energy, tr in rows if tr is not None]

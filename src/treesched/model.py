@@ -196,21 +196,19 @@ class SensorTree:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "cost", cost)
 
-        depth = np.zeros(m + 1, dtype=int)
-        for i in range(1, m + 1):
-            node, hops = i, 0
-            while node != 0:
-                node = int(parent[node - 1])
-                hops += 1
-                if hops > m:
-                    raise InvalidInput(f"sensor {i} has no path to the fusion center (cycle)")
-            depth[i] = hops
         children: list[list[int]] = [[] for _ in range(m + 1)]
-        for i in range(1, m + 1):
-            children[int(parent[i - 1])].append(i)
+        for i, j in enumerate(parent.tolist(), start=1):
+            children[j].append(i)
+        # Breadth first from the fusion center; a sensor never reached lies on a cycle.
+        depth, reached = [0] + [-1] * m, [0]
+        for node in reached:
+            for c in children[node]:
+                depth[c] = depth[node] + 1
+                reached.append(c)
+        if len(reached) <= m:
+            raise InvalidInput(f"sensor {depth.index(-1)} has no path to the fusion center (cycle)")
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
-        order = sorted(range(1, m + 1), key=lambda i: depth[i])
-        object.__setattr__(self, "root_first", tuple(order))
+        object.__setattr__(self, "root_first", tuple(sorted(range(1, m + 1), key=depth.__getitem__)))
 
     @property
     def m(self) -> int:
@@ -233,9 +231,7 @@ def is_valid_subtree(tree: SensorTree, members: Iterable[int]) -> bool:
     in the set, so the selected nodes form a transmission tree rooted at 0.
     """
     mem = frozenset(members)
-    if not all(1 <= i <= tree.m for i in mem):
-        return False
-    return all(tree.parent_of(i) == 0 or tree.parent_of(i) in mem for i in mem)
+    return all(1 <= i <= tree.m and (tree.parent_of(i) == 0 or tree.parent_of(i) in mem) for i in mem)
 
 
 def tree_energy(tree: SensorTree, members: Iterable[int]) -> float:
@@ -243,6 +239,11 @@ def tree_energy(tree: SensorTree, members: Iterable[int]) -> float:
     mem = frozenset(members)
     if not is_valid_subtree(tree, mem):
         raise InvalidSubtree(f"{sorted(mem)} is not closed under the parent map")
+    return _energy(tree, mem)
+
+
+def _energy(tree: SensorTree, mem: frozenset) -> float:
+    """``tree_energy`` of a set known to be parent-closed, summed in the set's own order."""
     return float(sum(tree.cost_of(i) for i in mem))
 
 
@@ -269,9 +270,7 @@ class TreeDistribution:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence) -> "TreeDistribution":
-        trees = [t for t, _ in pairs]
-        probs = [p for _, p in pairs]
-        return cls(tuple(trees), np.asarray(probs, dtype=float))
+        return cls(tuple(t for t, _ in pairs), np.asarray([p for _, p in pairs], dtype=float))
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -286,9 +285,14 @@ class TreeDistribution:
 # ---------------------------------------------------------------------------
 
 
-def model_to_dict(sys: LinearSystem, tree: SensorTree) -> dict:
+def check_sensor_counts(sys: LinearSystem, tree: SensorTree) -> None:
+    """DimensionMismatch naming both counts unless the tree has one node per sensor of the system."""
     if tree.m != sys.m:
         raise DimensionMismatch(f"tree has {tree.m} sensors but the system has {sys.m}")
+
+
+def model_to_dict(sys: LinearSystem, tree: SensorTree) -> dict:
+    check_sensor_counts(sys, tree)
     return {
         "n": sys.n,
         "m": sys.m,
@@ -314,10 +318,7 @@ def model_from_dict(doc: dict) -> tuple:
     tree = SensorTree(parent=doc["parent"], cost=doc["cost"])
     if sys.n != doc.get("n", sys.n) or sys.m != doc.get("m", sys.m):
         raise DimensionMismatch("declared n/m disagree with matrix shapes")
-    if tree.m != sys.m:
-        raise DimensionMismatch(
-            f"tree has {tree.m} sensors but the system has {sys.m}"
-        )
+    check_sensor_counts(sys, tree)
     return sys, tree
 
 

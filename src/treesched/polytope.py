@@ -53,13 +53,9 @@ class FeasibleSet:
 
 
 def ordering_violation(tree: SensorTree, p: np.ndarray) -> float:
-    """Largest amount by which a child marginal exceeds its parent's."""
-    worst = 0.0
-    for i in range(1, tree.m + 1):
-        j = tree.parent_of(i)
-        if j != 0:
-            worst = max(worst, float(p[i - 1] - p[j - 1]))
-    return worst
+    """Largest amount by which a child marginal exceeds its parent's, floor 0.0 (finite p)."""
+    inner = tree.parent > 0
+    return max(0.0, float(np.max(p[inner] - p[tree.parent[inner] - 1], initial=0.0)))
 
 
 def contains(fs: FeasibleSet, p, tol: float = MARGINAL_TOL) -> bool:

@@ -98,12 +98,8 @@ def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
     """Run one selection round: one shared draw from the nodes' common state.
 
     Nodes entering with different PRNG states raise AgreementViolation;
-    otherwise every node takes the advanced state. Nodes then run their rule
-    leaves first (root-first order reversed; ``nodes[i - 1]`` is sensor i).
-    Each internal node's expected inbound set is checked against what
-    actually arrived; a mismatch — possible only when nodes hold
-    inconsistent probabilities — raises AgreementViolation, as does a
-    transmitting set other than {i : alpha <= p_i}.
+    otherwise every node takes the advanced state and runs its rule on the
+    drawn alpha (``_run_rules``).
     """
     states = {node.prng_state for node in nodes}
     if len(states) > 1:
@@ -111,7 +107,17 @@ def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
     alpha, state = shared_draw(nodes[0].prng_state)
     for node in nodes:
         node.prng_state = state
+    return _run_rules(tree, nodes, alpha)
 
+
+def _run_rules(tree: SensorTree, nodes: list, alpha: float) -> RoundOutcome:
+    """The round at a shared ``alpha``: nodes run their rule leaves first
+    (root-first order reversed; ``nodes[i - 1]`` is sensor i). Each internal
+    node's expected inbound set is checked against what actually arrived; a
+    mismatch — possible only when nodes hold inconsistent probabilities —
+    raises AgreementViolation, as does a transmitting set other than
+    {i : alpha <= p_i}.
+    """
     transmitted: dict = {}  # id -> merged payload sensor count
     transmissions = []
     for i in reversed(tree.root_first):
@@ -135,13 +141,7 @@ def simulate_round(tree: SensorTree, nodes: list) -> RoundOutcome:
             f"transmitting set {sorted(selected)} disagrees with the "
             f"threshold rule {sorted(threshold_set)}"
         )
-    energy = tree_energy(tree, selected)
-    return RoundOutcome(
-        alpha=alpha,
-        selected=selected,
-        transmissions=tuple(transmissions),
-        energy=energy,
-    )
+    return RoundOutcome(alpha, selected, tuple(transmissions), tree_energy(tree, selected))
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def simulate_run(
 
     A round's outcome depends on alpha only through the number of distinct
     entries of p below it, since sensor i transmits iff alpha <= p_i. So the
-    first round in each such interval runs ``simulate_round`` on the nodes,
-    and later rounds in it reuse that outcome with their own alpha.
+    first round in each such interval runs the node rules on its alpha
+    (``_run_rules``), and later rounds in it reuse that outcome with their own alpha.
     """
     seed, rounds = as_integer(seed, "seed"), as_integer(rounds, "rounds")
     if rounds < 0 or not 0 <= seed <= _MASK64:
@@ -190,16 +190,12 @@ def simulate_run(
     energy_sum = 0.0
     tree_counts: dict = {}
     for k in range(1, rounds + 1):
-        alpha, next_state = shared_draw(state)
+        alpha, state = shared_draw(state)
         interval = bisect_left(levels, alpha)
-        known = by_interval.get(interval)
-        if known is None:
-            for node in nodes:
-                node.prng_state = state
-            outcome = by_interval[interval] = simulate_round(tree, nodes)
-        else:
-            outcome = RoundOutcome(alpha, known.selected, known.transmissions, known.energy)
-        state = next_state
+        if interval not in by_interval:
+            by_interval[interval] = _run_rules(tree, nodes, alpha)
+        known = by_interval[interval]
+        outcome = RoundOutcome(alpha, known.selected, known.transmissions, known.energy)
         energy_sum += outcome.energy
         tree_counts[outcome.selected] = tree_counts.get(outcome.selected, 0) + 1
         if on_round is not None:

@@ -33,7 +33,8 @@ from ._linalg import covariance_update
 from ._linalg import spd_inverse  # noqa: F401  (perfbench/tracing.py patches it here)
 from .errors import Diverged, InvalidInput, InvalidSubtree
 from .lowerbound import L_step, detectable_schedule
-from .model import LinearSystem, SensorTree, TreeDistribution, as_integer, indicator, is_valid_subtree
+from .model import LinearSystem, SensorTree, TreeDistribution, as_integer, check_sensor_counts
+from .model import indicator, is_valid_subtree
 
 DIVERGENCE_FACTOR = 1e6  # running mean above this multiple of trace(Sigma0) flags divergence
 
@@ -94,10 +95,12 @@ def _propagate(
     default_rng(seed); otherwise trial t draws from default_rng([seed, t]).
     Returns (draws, traces, P): the support index and trace of each path
     and step, both (paths, steps), and the final covariance stack. Raises
+    DimensionMismatch for a tree and system of different sensor counts,
     InvalidInput for a ``steps`` or ``seed`` that is not an integer or is
     negative, or for more draws than numpy can shape, and Diverged once the
     mean trace over the paths exceeds DIVERGENCE_FACTOR * trace(Sigma0).
     """
+    check_sensor_counts(sys, tree)
     steps, seed = as_integer(steps, "steps"), as_integer(seed, "seed")
     if steps < 0 or seed < 0:
         raise InvalidInput(f"steps and seed must be >= 0, got steps={steps}, seed={seed}")
@@ -214,6 +217,7 @@ def asymptotic_expected_trace(
     mean trace grows beyond DIVERGENCE_FACTOR * trace(Sigma0) (a detectable
     support tree is necessary but not sufficient for stability).
     """
+    check_sensor_counts(sys, tree)
     burn_in, horizon = as_integer(burn_in, "burn_in"), as_integer(horizon, "horizon")
     trials = as_integer(trials, "trials")
     if not (0 <= burn_in < horizon) or trials < 1:

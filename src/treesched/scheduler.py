@@ -34,7 +34,7 @@ import numpy as np
 from ._linalg import predict, spd_inverse, symmetrize
 from .errors import Diverged, InitialDiverged, InvalidInput, SingularMatrix, SolverStalled
 from .lowerbound import L_infinity, L_step, as_covariance
-from .model import LinearSystem, validate_system
+from .model import LinearSystem, check_sensor_counts, validate_system
 from .polytope import FeasibleSet, contains, project
 
 MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -84,6 +84,7 @@ def solve_descent_subproblem(
     nonmonotone Armijo step down to t = 1e-14 with the residual above it) or
     at MAX_INNER iterations, which raises SolverStalled on the final stage.
     """
+    check_sensor_counts(sys, fs.tree)
     n, m = sys.n, sys.m
     L_prev = symmetrize(as_covariance(sys, L_prev))
     W = spd_inverse(predict(sys.A, sys.Q, L_prev))
@@ -227,6 +228,7 @@ def greedy_optimize(sys: LinearSystem, fs: FeasibleSet) -> GreedyTrace:
     InitialDiverged when even the uniform starting schedule cannot
     stabilize the estimator, i.e. the budget is too small.
     """
+    check_sensor_counts(sys, fs.tree)
     validate_system(sys)
     p = initial_schedule(fs)
     try:

@@ -17,6 +17,7 @@ from treesched import (
     TreeDistribution,
     as_marginals,
     asymptotic_expected_trace,
+    best_deterministic,
     bound_sequence,
     contains,
     decompose,
@@ -24,6 +25,7 @@ from treesched import (
     expected_trace_curve,
     feasibility_of_marginals,
     g_T,
+    greedy_optimize,
     project,
     sample_path,
     simulate_run,
@@ -142,3 +144,30 @@ def test_integral_trial_counts_read_as_integers():
         assert all(np.array_equal(a, b) for a, b in zip(got, curve))
     level = asymptotic_expected_trace(SYSTEM, TREE, DIST, burn_in=1, horizon=4, trials=5, seed=0)
     assert asymptotic_expected_trace(SYSTEM, TREE, DIST, burn_in="1", horizon=4.0, trials="5", seed=0) == level
+
+
+# Entry points that take the system and the tree: (name, call on a tree, its full-support
+# distribution and a feasible set), each fed a tree with one sensor fewer or more than SYSTEM.
+SENSOR_COUNT_CALLS = [
+    ("best_deterministic", lambda tree, dist, fs: best_deterministic(SYSTEM, tree, 1.0)),
+    ("sample_path", lambda tree, dist, fs: sample_path(SYSTEM, tree, dist, seed=0, steps=3)),
+    ("expected_P", lambda tree, dist, fs: expected_P(SYSTEM, tree, dist, step=3, trials=2, seed=0)),
+    ("expected_trace_curve", lambda tree, dist, fs: expected_trace_curve(SYSTEM, tree, dist, steps=3, trials=2, seed=0)),
+    ("asymptotic_expected_trace", lambda tree, dist, fs: asymptotic_expected_trace(SYSTEM, tree, dist, **WINDOW)),
+    ("greedy_optimize", lambda tree, dist, fs: greedy_optimize(SYSTEM, fs)),
+    (
+        "solve_descent_subproblem",
+        lambda tree, dist, fs: solve_descent_subproblem(SYSTEM, fs, L_UNIFORM, np.full(tree.m, 0.5)),
+    ),
+]
+
+
+@pytest.mark.parametrize("m", [SYSTEM.m - 1, SYSTEM.m + 1])
+@pytest.mark.parametrize("name, call", SENSOR_COUNT_CALLS, ids=[name for name, _ in SENSOR_COUNT_CALLS])
+def test_tree_and_system_sensor_counts_must_agree(name, call, m):
+    """A chain of m sensors against the 2-sensor system is refused up front,
+    neither run with the extra rows of C unread nor failing on a later index."""
+    chain = SensorTree(parent=list(range(m)), cost=np.ones(m))
+    dist = TreeDistribution((frozenset(), frozenset(range(1, m + 1))), [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match=f"^tree has {m} sensors but the system has {SYSTEM.m}$"):
+        call(chain, dist, FeasibleSet(chain, 1.0))

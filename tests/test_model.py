@@ -107,10 +107,46 @@ class TestValidateSystem:
             LinearSystem(**arrays)
 
 
+def walked_depths(parent) -> list:
+    """Hops from each sensor 1..m to the fusion center by walking up the
+    parent map; None for a sensor whose walk never reaches it (a cycle)."""
+    depths = []
+    for i in range(1, len(parent) + 1):
+        node, hops = i, 0
+        while node != 0 and hops <= len(parent):
+            node, hops = parent[node - 1], hops + 1
+        depths.append(hops if node == 0 else None)
+    return depths
+
+
+def shuffled_tree_parents(rng, m: int) -> list:
+    """A random tree whose labels are shuffled, so parents may have higher indices than their children."""
+    labels = [int(v) for v in rng.permutation(m) + 1]
+    parent = [0] * m
+    for k, i in enumerate(labels):
+        parent[i - 1] = int(rng.choice([0, *labels[:k]]))
+    return parent
+
+
 class TestSensorTree:
-    def test_cycle_rejected(self):
+    def test_cycle_rejected(self, rng):
         with pytest.raises(ValueError):
             SensorTree(parent=[2, 1], cost=[1.0, 1.0])
+        for _ in range(200):
+            m = int(rng.integers(1, 10))
+            parent = shuffled_tree_parents(rng, m)
+            if rng.random() < 0.5:  # self-loops on some sensors, their subtrees hang off them
+                for i in rng.choice(np.arange(1, m + 1), size=int(rng.integers(1, m + 1)), replace=False):
+                    parent[i - 1] = int(i)
+            else:  # any parent map: cycles with trees hanging off the root and off the cycle
+                parent = [int(v) for v in rng.integers(0, m + 1, size=m)]
+            depths = walked_depths(parent)
+            if None not in depths:
+                assert SensorTree(parent=parent, cost=np.ones(m)).m == m
+                continue
+            first = depths.index(None) + 1
+            with pytest.raises(InvalidInput, match=f"^sensor {first} has no path to the fusion center \\(cycle\\)$"):
+                SensorTree(parent=parent, cost=np.ones(m))
 
     def test_empty_network_rejected(self):
         with pytest.raises(InvalidInput, match="at least one sensor"):
@@ -140,6 +176,14 @@ class TestSensorTree:
             rank = {i: k for k, i in enumerate(tree.root_first)}
             assert sorted(rank) == list(range(1, tree.m + 1))
             assert all(tree.parent_of(i) == 0 or rank[tree.parent_of(i)] < rank[i] for i in rank)
+        for _ in range(200):
+            m = int(rng.integers(1, 14))
+            parent = shuffled_tree_parents(rng, m)
+            tree = SensorTree(parent=parent, cost=np.ones(m))
+            depths = walked_depths(parent)
+            assert tree.root_first == tuple(sorted(range(1, m + 1), key=lambda i: (depths[i - 1], i)))
+            for node in range(m + 1):
+                assert tree.children_of(node) == tuple(i for i in range(1, m + 1) if parent[i - 1] == node)
 
 
 class TestSubtrees:
