@@ -22,7 +22,7 @@ from .model import (
     is_valid_subtree,
     tree_energy,
 )
-from .polytope import KKT_TOL, FeasibleSet, contains, isotonic_tree_project, project
+from .polytope import KKT_TOL, FeasibleSet, contains, isotonic_tree_project, ordering_violation, project
 from .protocol import shared_draw, simulate_run
 from .riccati import expected_trace_curve, g_T, sample_path
 from .scheduler import greedy_optimize
@@ -250,9 +250,37 @@ def check_polytope_convex(samples: int = 200, seed: int = 20) -> None:
         assert contains(fs, a * p + (1 - a) * q, tol=1e-9), f"convex combination left the set (sample {k})"
 
 
+def bisection_projection(fs: FeasibleSet, q: np.ndarray, pav=isotonic_tree_project) -> np.ndarray:
+    """Reference projection: bisect the budget multiplier of p(lam) =
+    clip(pav(q - lam * c)) down to adjacent doubles, then take the two ends'
+    interpolant at g = 0 (the weights computed directly, as in ``project``)."""
+    c = fs.tree.cost
+
+    def p_of(lam: float) -> np.ndarray:
+        return np.clip(pav(fs.tree, q - lam * c), 0.0, 1.0)
+
+    lo, p_lo = 0.0, p_of(0.0)
+    g_lo = float(c @ p_lo) - fs.budget
+    if g_lo <= 0.0:
+        return p_lo
+    hi, p_hi, g_hi = float(np.max(q / c)), np.zeros_like(q), -fs.budget
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        p = p_of(mid)
+        g = float(c @ p) - fs.budget
+        if g > 0.0:
+            lo, p_lo, g_lo = mid, p, g
+        else:
+            hi, p_hi, g_hi = mid, p, g
+    span = g_lo - g_hi
+    return np.minimum(-g_hi / span * p_lo + g_lo / span * p_hi, 1.0)
+
+
 def check_projection_properties(samples: int = 60, seed: int = 21) -> None:
-    """Idempotence and nonexpansiveness of the projection, and a binding budget
-    spent within KKT_TOL * min(c), also for the input scaled by 1e9."""
+    """Idempotence and nonexpansiveness of the projection, and its three
+    guarantees for the input as drawn and scaled by 1e9 and 1e10: box and
+    ordering met exactly, a binding budget spent within KKT_TOL * min(c), and
+    l1 distance within KKT_TOL of ``bisection_projection``."""
     rng = np.random.default_rng(seed)
     for k in range(samples):
         m = int(rng.integers(1, 10))
@@ -266,10 +294,16 @@ def check_projection_properties(samples: int = 60, seed: int = 21) -> None:
         assert (
             np.linalg.norm(p1 - p2) <= np.linalg.norm(q1 - q2) + 1e-7
         ), f"projection expansive (sample {k})"
-        for q, p in ((q1, p1), (1e9 * q1, project(fs, 1e9 * q1))):
+        for scale in (1.0, 1e9, 1e10):
+            q = scale * q1
+            p = project(fs, q)
+            assert p.min() >= 0.0 and p.max() <= 1.0, f"box missed at scale {scale:g} (sample {k})"
+            assert ordering_violation(tree, p) == 0.0, f"ordering missed at scale {scale:g} (sample {k})"
             if float(tree.cost @ np.clip(isotonic_tree_project(tree, q), 0.0, 1.0)) > fs.budget:
                 gap = abs(float(tree.cost @ p) - fs.budget)
                 assert gap <= KKT_TOL * float(tree.cost.min()), f"binding budget missed by {gap:g} (sample {k})"
+            dist = float(np.abs(p - bisection_projection(fs, q)).sum())
+            assert dist <= KKT_TOL, f"{dist:g} from the bisected projection at scale {scale:g} (sample {k})"
 
 
 def check_energy_identity(samples: int = 100, seed: int = 22) -> None:

@@ -5,8 +5,10 @@ points come from the scalar quadratic, expectations from propagating a
 discretized value distribution, optima from brute-force grid search,
 spanning trees from exhaustive edge-subset enumeration, baseline rows
 from one one-row ``_doubling`` call per candidate instead of the stacked
-blocks of ``best_deterministic``, and protocol rounds from the node
-walk run afresh every round instead of ``simulate_run``'s reuse of it.
+blocks of ``best_deterministic``, protocol rounds from the node
+walk run afresh every round instead of ``simulate_run``'s reuse of it, and
+projections from plain bisection on the budget multiplier over a copy of
+the tree PAV instead of ``project``'s search over pooled blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from treesched.baseline import enumerate_subtrees
 from treesched.decompose import realizable_marginals
 from treesched.lowerbound import _doubling, detectable_schedule
 from treesched.model import indicator, tree_energy
-from treesched.properties import random_system, random_tree
+from treesched.properties import bisection_projection, random_system, random_tree
 from treesched.protocol import build_nodes, simulate_round
 
 
@@ -226,6 +228,38 @@ def grid_search_projection(fs, q: np.ndarray, resolution: float = 1e-3):
     d2 = ((P - np.asarray(q, dtype=float)[None, :]) ** 2).sum(axis=1)
     j = int(np.argmin(d2))
     return P[j], math.sqrt(float(d2[j]))
+
+
+def reference_isotonic_tree_project(tree, q) -> np.ndarray:
+    """``polytope.isotonic_tree_project`` as written before its pool kept a
+    running mean per block: the output it must match bit for bit."""
+    m = tree.m
+    total = [0.0] + [float(x) for x in np.asarray(q, dtype=float)]
+    size = [1] * (m + 1)
+    below = [list(tree.children_of(v)) for v in range(m + 1)]
+    merged = [False] * (m + 1)
+    for v in reversed(tree.root_first):
+        hanging = below[v]
+        while hanging:
+            b = max(hanging, key=lambda u: total[u] / size[u])
+            if total[b] / size[b] <= total[v] / size[v]:
+                break
+            hanging.remove(b)
+            hanging.extend(below[b])
+            total[v] += total[b]
+            size[v] += size[b]
+            merged[b] = True
+
+    x = np.empty(m)
+    for v in tree.root_first:
+        x[v - 1] = x[tree.parent_of(v) - 1] if merged[v] else total[v] / size[v]
+    return x
+
+
+def reference_projection(fs, q) -> np.ndarray:
+    """Projection by bisecting the budget multiplier down to adjacent doubles,
+    over the reference PAV."""
+    return bisection_projection(fs, np.asarray(q, dtype=float), pav=reference_isotonic_tree_project)
 
 
 def minimum_spanning_weight_bruteforce(points: np.ndarray, offset: float) -> float:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import grid_search_projection
+from oracles import grid_search_projection, reference_isotonic_tree_project, reference_projection
+from treesched import polytope
 from treesched.errors import DimensionMismatch, InvalidInput, SolverStalled
 from treesched.model import SensorTree
 from treesched.polytope import (
@@ -26,6 +27,33 @@ from treesched.properties import (
 @pytest.fixture
 def chain2_fs():
     return FeasibleSet(SensorTree(parent=[0, 1], cost=[1.0, 1.0]), 1.5)
+
+
+@pytest.fixture
+def pav_passes(monkeypatch):
+    """Counts tree-PAV passes into the last entry; append 0 before each call."""
+    pool, passes = polytope._pool, []
+
+    def counted(tree, y):
+        passes[-1] += 1
+        return pool(tree, y)
+
+    monkeypatch.setattr(polytope, "_pool", counted)
+    return passes
+
+
+@pytest.fixture(scope="module")
+def scaled_points():
+    """300 random trees (rng 12345), each with one point at scales 1, 1e3, 1e9 and 1e10."""
+    rng = np.random.default_rng(12345)
+    cases = []
+    for _ in range(300):
+        m = int(rng.integers(1, 13))
+        tree = random_tree(rng, m)
+        fs = FeasibleSet(tree, float(rng.uniform(0.1, 0.9)) * float(tree.cost.sum()))
+        q = rng.uniform(-2, 3, m)
+        cases += [(fs, scale * q) for scale in (1.0, 1e3, 1e9, 1e10)]
+    return cases
 
 
 class TestContains:
@@ -85,13 +113,54 @@ class TestProject:
         with pytest.raises(SolverStalled, match="overflows"):
             project(fs, [1.0])
 
-    def test_search_cap_raises(self):
+    def test_extreme_cost_ratio_projects(self):
         # Costs 600 orders apart: the multiplier sits near 1e-300 in a bracket
-        # reaching 1e300, and 200 steps reach neither stop. That raises; the
-        # search never returns an uncertified point.
+        # reaching 1e300. The first probe past the root keeps both blocks, so
+        # p is affine on the bracket and the answer is the projection itself:
+        # sensor 2 spends what sensor 1 leaves of the budget.
         fs = FeasibleSet(SensorTree(parent=[0, 1], cost=[1e-300, 1e300]), 0.5)
-        with pytest.raises(SolverStalled, match="200 steps"):
-            project(fs, [1.0, 1.0])
+        p = project(fs, [1.0, 1.0])
+        assert p[0] == 1.0
+        assert p[1] == pytest.approx((0.5 - 1e-300) / 1e300, rel=1e-15)
+
+    def test_extreme_cost_spreads_finish(self, pav_passes):
+        # Costs 10**U(-30, 30) and 10**U(-150, 150) against points near 1e15:
+        # the first prediction can overshoot by a hundred orders of magnitude,
+        # and the exponent bisection brings the bracket back. These 400 trees
+        # take at most 30 passes, far inside the 200-pass cap.
+        rng = np.random.default_rng(0)
+        for k in range(400):
+            m = int(rng.integers(1, 13))
+            parent = [0] + [int(rng.integers(0, i)) for i in range(1, m)]
+            spread = (30, 150)[k % 2]
+            tree = SensorTree(parent=parent, cost=10.0 ** rng.uniform(-spread, spread, m))
+            fs = FeasibleSet(tree, float(rng.uniform(0.1, 0.9)) * float(tree.cost.sum()))
+            q = rng.uniform(-2, 3, m) * 1e15
+            pav_passes.append(0)
+            p = project(fs, q)
+            assert p.min() >= 0.0 and p.max() <= 1.0 and ordering_violation(tree, p) == 0.0, k
+            if float(tree.cost @ np.clip(reference_isotonic_tree_project(tree, q), 0.0, 1.0)) > fs.budget:
+                assert abs(float(tree.cost @ p) - fs.budget) <= 1e-15 * float(tree.cost.sum()), k
+        assert max(pav_passes) <= 30, np.bincount(pav_passes)
+
+    def test_matches_bisection_oracle(self, scaled_points):
+        for k, (fs, q) in enumerate(scaled_points):
+            tree, c = fs.tree, fs.tree.cost
+            p = project(fs, q)
+            assert p.min() >= 0.0 and p.max() <= 1.0 and ordering_violation(tree, p) == 0.0, k
+            assert np.abs(p - reference_projection(fs, q)).sum() <= KKT_TOL, k
+            if float(c @ np.clip(reference_isotonic_tree_project(tree, q), 0.0, 1.0)) > fs.budget:
+                assert abs(float(c @ p) - fs.budget) <= KKT_TOL * float(c.min()), k
+
+    def test_pav_passes_per_projection(self, scaled_points, pav_passes):
+        # A binding case takes 3 passes: lam = 0, a probe just past the root
+        # that lam = 0's blocks predict, and one back across the root on the
+        # root's own piece. It takes a 4th when the blocks change between
+        # lam = 0 and the root (72 of these 1,200 inputs).
+        for fs, q in scaled_points:
+            pav_passes.append(0)
+            project(fs, q)
+        assert max(pav_passes) <= 4, np.bincount(pav_passes)
 
     def test_zero_budget_collapses_to_origin(self, rng):
         tree = random_tree(rng, 5)
@@ -118,6 +187,16 @@ class TestProject:
 
 
 class TestIsotonic:
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(12345)
+        for k in range(300):
+            m = int(rng.integers(1, 16))
+            tree = random_tree(rng, m)
+            # two draws in three tie: integers, and tenths whose sums round
+            q = (rng.uniform(-3, 3, m), rng.integers(-3, 4, m).astype(float), rng.integers(-30, 31, m) / 10)[k % 3]
+            for x in (q, 1e10 * q):
+                assert np.array_equal(isotonic_tree_project(tree, x), reference_isotonic_tree_project(tree, x)), k
+
     def test_feasible_input_unchanged(self, rng):
         for _ in range(30):
             tree = random_tree(rng, int(rng.integers(1, 9)))
